@@ -2,7 +2,7 @@
 
 A circular word is the conjugacy class of a linear word under rotation.
 It is stored canonically: the lexicographically least rotation (in the
-alphabet's order), the class size, and the primitive root.
+alphabet's order) and the primitive root, whose length is the class size.
 
 Two counting modes exist for a pattern v in a circular word [w]:
 
@@ -12,7 +12,7 @@ Two counting modes exist for a pattern v in a circular word [w]:
   of [w]; an exact rational.
 
 The circular Parikh matrix is the class average of the linear Parikh
-matrices and is built from avg_count values.
+matrices.  Both averages come from one integer rotation kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix
-from .words import Alphabet, _count, _parikh_rows, mirror
+from .words import Alphabet, _count, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -92,12 +92,15 @@ class CircularWord:
 
     alphabet: Alphabet
     canonical: str
-    class_size: int
     period: str
 
     @property
     def length(self) -> int:
         return len(self.canonical)
+
+    @property
+    def class_size(self) -> int:
+        return max(len(self.period), 1)
 
     def __str__(self):
         return f"[{self.canonical}]"
@@ -110,11 +113,10 @@ def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     """
     ranks = alphabet.ranks(word)
     if not word:
-        return CircularWord(alphabet, "", 1, "")
+        return CircularWord(alphabet, "", "")
     k = _least_rotation(ranks)
     canonical = word[k:] + word[:k]
-    root = primitive_root(canonical)
-    return CircularWord(alphabet, canonical, len(root), root)
+    return CircularWord(alphabet, canonical, primitive_root(canonical))
 
 
 def direct_count(cw: CircularWord, pattern: str) -> int:
@@ -125,6 +127,29 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
     return sum(_count(w, u) for u in conjugacy_class(pattern))
 
 
+def _rotation_sums(word: str, pattern: str) -> list:
+    """Integer rows whose (i, j) entry sums the count of pattern[i:j] over
+    the |word| cyclic shifts of `word` (the identity for λ), in O(n m^2):
+    the generalized Parikh matrix M_v is a morphism, so rotating the front
+    letter x to the back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+    """
+    m, n = len(pattern), len(word)
+    positions = {x: [k for k in range(m - 1, -1, -1) if pattern[k] == x] for x in set(pattern)}
+    rows = [[int(i == j) for j in range(m + 1)] for i in range(m + 1)]
+    total = [[0] * (m + 1) for _ in rows]
+    # Steps < n build M_v(word), later steps rotate.  Row and column operations
+    # commute, so they may interleave; both visit the positions descending.
+    for step, ch in enumerate(word + word[:-1]):
+        for k in positions.get(ch, ()):
+            if step >= n:  # rows <- M(x)^-1 rows
+                rows[k] = [r - s for r, s in zip(rows[k], rows[k + 1])]
+            for row in rows[: k + 1]:  # rows <- rows M(x)
+                row[k + 1] += row[k]
+        if step >= n - 1:
+            total = [[t + r for t, r in zip(trow, row)] for trow, row in zip(total, rows)]
+    return total if word else rows
+
+
 def avg_count(cw: CircularWord, pattern: str) -> Fraction:
     """Mean linear subword count of `pattern` over the conjugacy class.
 
@@ -133,31 +158,7 @@ def avg_count(cw: CircularWord, pattern: str) -> Fraction:
     conjugate occurs equally often among the shifts.
     """
     cw.alphabet.validate(pattern)
-    w = cw.canonical
-    n = len(w)
-    if n == 0:
-        return Fraction(_count("", pattern))
-    doubled = w + w
-    return Fraction(sum(_count(doubled[i : i + n], pattern) for i in range(n)), n)
-
-
-def _circular_rows(alphabet: Alphabet, word: str):
-    """Integer entry sums of the linear Parikh matrices over all cyclic
-    shifts, plus the divisor |word| (1 for the empty word)."""
-    n = len(word)
-    d = alphabet.size + 1
-    if n == 0:
-        return [[1 if i == j else 0 for j in range(d)] for i in range(d)], 1
-    doubled = word + word
-    total = [[0] * d for _ in range(d)]
-    for i in range(n):
-        rows = _parikh_rows(alphabet, doubled[i : i + n])
-        for r in range(d):
-            trow = total[r]
-            srow = rows[r]
-            for c in range(r, d):
-                trow[c] += srow[c]
-    return total, n
+    return Fraction(_rotation_sums(cw.canonical, pattern)[0][-1], max(cw.length, 1))
 
 
 def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
@@ -166,9 +167,8 @@ def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
     Entry (i, j+1) equals avg_count of the ladder subword a_i ... a_j;
     entries are exact rationals.
     """
-    rows, n = _circular_rows(cw.alphabet, cw.canonical)
-    if n == 1:
-        return UnitriangularMatrix(rows)
+    n = max(cw.length, 1)
+    rows = _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))
     return UnitriangularMatrix([[Fraction(e, n) for e in row] for row in rows])
 
 
@@ -188,7 +188,9 @@ def m_equivalent(cw1: CircularWord, cw2: CircularWord) -> bool:
         raise ValueError(
             f"alphabet mismatch: {cw1.alphabet} vs {cw2.alphabet}"
         )
-    return circular_parikh_matrix(cw1) == circular_parikh_matrix(cw2)
+    # Equal sums iff equal matrices: each fixes |w| (diagonal / superdiagonal total).
+    ladder = "".join(cw1.alphabet.symbols)
+    return _rotation_sums(cw1.canonical, ladder) == _rotation_sums(cw2.canonical, ladder)
 
 
 def mirror_class(cw: CircularWord) -> CircularWord:

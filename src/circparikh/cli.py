@@ -148,15 +148,11 @@ def _cmd_mequiv(args) -> int:
     if m1 == m2:
         print("EQUIVALENT")
         return 0
-    for i in range(m1.dim):
-        for j in range(m1.dim):
-            if m1.rows[i][j] != m2.rows[i][j]:
-                print(
-                    f"NOT EQUIVALENT: entry ({i + 1},{j + 1}): "
-                    f"{m1.rows[i][j]} vs {m2.rows[i][j]}"
-                )
-                return 1
-    return 1  # unreachable
+    i, j = next(
+        (i, j) for i in range(m1.dim) for j in range(m1.dim) if m1.rows[i][j] != m2.rows[i][j]
+    )
+    print(f"NOT EQUIVALENT: entry ({i + 1},{j + 1}): {m1.rows[i][j]} vs {m2.rows[i][j]}")
+    return 1
 
 
 def _format_application(app) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circular import (
-    _circular_rows,
+    _rotation_sums,
     binary_closed_form,
     canonicalize,
     circular_inverse_alternate_check,
@@ -29,7 +29,13 @@ from .circular import (
     product_identity_check,
     slender_partition_check,
 )
-from .rewriting import apply_e1, apply_e2, naive_rule_failure_examples
+from .rewriting import (
+    apply_e1,
+    apply_e2,
+    ce1_condition,
+    ce2_condition,
+    naive_rule_failure_examples,
+)
 from .words import Alphabet, parikh_matrix, parikh_vector, permutation_identity_check
 
 _AB = Alphabet("ab")
@@ -231,14 +237,13 @@ def _suite_slender_partition(limits, fail):
 
 def _suite_ce1_iff(limits, fail):
     kmax = limits.max_split if limits.max_split is not None else 5
-    a, b, c = _ABC.symbols
+    a, _, c = _ABC.symbols
     checked = 0
     for x, y in _split_pairs(_ABC.symbols, kmax):
         w = x + a + c + y + c + a
         w2 = x + c + a + y + a + c
-        condition = y.count(b) * (x.count(a) - x.count(c)) == x.count(b) * (
-            y.count(a) - y.count(c)
-        )
+        lhs, rhs = ce1_condition(_ABC, x, y)
+        condition = lhs == rhs
         equivalent = m_equivalent(canonicalize(_ABC, w), canonicalize(_ABC, w2))
         if condition != equivalent:
             fail(
@@ -254,12 +259,11 @@ def _suite_ce2_iff(limits, fail):
     a, b, c = _ABC.symbols
     checked = 0
     for x, y in _split_pairs(_ABC.symbols, kmax):
-        for alpha, bar in ((a, c), (c, a)):
+        for alpha in (a, c):
             w = x + alpha + b + y + b + alpha
             w2 = x + b + alpha + y + alpha + b
-            condition = x.count(bar) * (len(y) + y.count(b) + 3) == y.count(bar) * (
-                len(x) + x.count(b) + 3
-            )
+            lhs, rhs = ce2_condition(_ABC, x, y, alpha)
+            condition = lhs == rhs
             equivalent = m_equivalent(canonicalize(_ABC, w), canonicalize(_ABC, w2))
             if condition != equivalent:
                 fail(
@@ -376,6 +380,10 @@ def run_suite(name: str, limits: SuiteLimits | None = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
     if limits is None:
         limits = SuiteLimits()
+    for field, least in (("max_length", 0), ("max_split", 0), ("max_power", 1)):
+        value = getattr(limits, field)
+        if value is not None and value < least:
+            raise ValueError(f"{field} must be at least {least}, got {value}")
     failures = []
     failure_count = 0
 
@@ -434,13 +442,15 @@ def search_negative_minor(alphabet: Alphabet, max_n: int) -> MinorWitness | None
     matrix scaled by the word length, which has the same sign; the reported
     value is rescaled to the true minor of the rational matrix.
     """
+    if max_n < 0:
+        raise ValueError("length must be non-negative")
     d = alphabet.size + 1
     index_sets = {
         k: list(itertools.combinations(range(d), k)) for k in range(1, d + 1)
     }
     for n in range(max_n + 1):
         for cw in enumerate_necklaces(alphabet, n):
-            rows, denom = _circular_rows(alphabet, cw.canonical)
+            rows = _rotation_sums(cw.canonical, "".join(alphabet.symbols))
             for k in range(1, d + 1):
                 for row_idx in index_sets[k]:
                     picked = [rows[i] for i in row_idx]
@@ -452,6 +462,6 @@ def search_negative_minor(alphabet: Alphabet, max_n: int) -> MinorWitness | None
                                 n,
                                 tuple(i + 1 for i in row_idx),
                                 tuple(j + 1 for j in col_idx),
-                                Fraction(det, denom**k),
+                                Fraction(det, max(n, 1) ** k),
                             )
     return None

@@ -13,10 +13,6 @@ import json
 import re
 from fractions import Fraction
 
-# All rational values in this package are stdlib Fractions: normalized on
-# construction, sign on the numerator, arbitrary-precision integers.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -139,7 +135,8 @@ class UnitriangularMatrix:
         for row in entries:
             if not isinstance(row, list) or len(row) != dim:
                 raise ValueError(f"expected rows of length {dim}")
-            rows.append([e if isinstance(e, int) else parse_rational(e) for e in row])
+            # bool is an int subclass; JSON true/false are not matrix entries
+            rows.append([e if type(e) is int else parse_rational(e) for e in row])
         return cls(rows)
 
     def pretty(self) -> str:

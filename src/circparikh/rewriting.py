@@ -103,11 +103,31 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
     return out
 
 
+def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
+    """Both sides of the CE1 condition for x·ac·y·ca -> x·ca·y·ac:
+    (|y|_b (|x|_a - |x|_c), |x|_b (|y|_a - |y|_c))."""
+    a, b, c = alphabet.symbols
+    return y.count(b) * (x.count(a) - x.count(c)), x.count(b) * (y.count(a) - y.count(c))
+
+
+def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
+    """Both sides of the CE2 condition for x·αb·y·bα -> x·bα·y·αb, α in
+    {a, c}: (|x|_ᾱ (|y| + |y|_b + 3), |y|_ᾱ (|x| + |x|_b + 3))."""
+    a, b, c = alphabet.symbols
+    if alpha not in (a, c):
+        raise ValueError(f"CE2 swaps {a} or {c} with {b}, got {alpha!r}")
+    bar = c if alpha == a else a
+    return (
+        x.count(bar) * (len(y) + y.count(b) + 3),
+        y.count(bar) * (len(x) + x.count(b) + 3),
+    )
+
+
 def find_ce1(cw: CircularWord) -> list:
     """Every CE1 site of [w]: each rotation r of the canonical word that
     factors as x·ac·y·ca, with its side condition evaluated."""
     _require_ternary(cw.alphabet)
-    a, b, c = cw.alphabet.symbols
+    a, _, c = cw.alphabet.symbols
     ac, ca = a + c, c + a
     w = cw.canonical
     n = len(w)
@@ -123,8 +143,7 @@ def find_ce1(cw: CircularWord) -> list:
             if rot[i : i + 2] != ac:
                 continue
             x, y = rot[:i], rot[i + 2 : n - 2]
-            lhs = y.count(b) * (x.count(a) - x.count(c))
-            rhs = x.count(b) * (y.count(a) - y.count(c))
+            lhs, rhs = ce1_condition(cw.alphabet, x, y)
             result = canonicalize(cw.alphabet, x + ca + y + ac)
             apps.append(
                 RuleApplication("CE1", r, len(x), len(y), None, lhs, rhs, result)
@@ -145,7 +164,7 @@ def find_ce2(cw: CircularWord) -> list:
     doubled = w + w
     for r in range(n):
         rot = doubled[r : r + n]
-        for alpha, bar in ((a, c), (c, a)):
+        for alpha in (a, c):
             head, tail = alpha + b, b + alpha
             if rot[-2:] != tail:
                 continue
@@ -153,8 +172,7 @@ def find_ce2(cw: CircularWord) -> list:
                 if rot[i : i + 2] != head:
                     continue
                 x, y = rot[:i], rot[i + 2 : n - 2]
-                lhs = x.count(bar) * (len(y) + y.count(b) + 3)
-                rhs = y.count(bar) * (len(x) + x.count(b) + 3)
+                lhs, rhs = ce2_condition(cw.alphabet, x, y, alpha)
                 result = canonicalize(cw.alphabet, x + tail + y + head)
                 apps.append(
                     RuleApplication("CE2", r, len(x), len(y), alpha, lhs, rhs, result)
@@ -207,7 +225,7 @@ class RewriteEdge:
 class RewriteGraph:
     """Closure of valid rule applications: nodes in discovery order, one
     edge per (source, target, rule).  `complete` is False when the node
-    budget stopped the expansion."""
+    budget stopped the expansion; edges to targets left out are dropped."""
 
     nodes: tuple
     edges: tuple
@@ -259,10 +277,6 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
                 if not app.valid:
                     continue
                 target = app.result
-                edge_key = (source.canonical, target.canonical, rule)
-                if edge_key not in seen_edges:
-                    seen_edges.add(edge_key)
-                    edges.append(RewriteEdge(source, target, app))
                 if target.canonical not in nodes:
                     if len(nodes) >= max_steps:
                         complete = False
@@ -270,6 +284,10 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
                     nodes[target.canonical] = target
                     order.append(target)
                     queue.append(target)
+                edge_key = (source.canonical, target.canonical, rule)
+                if edge_key not in seen_edges:
+                    seen_edges.add(edge_key)
+                    edges.append(RewriteEdge(source, target, app))
     return RewriteGraph(tuple(order), tuple(edges), complete)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from circparikh import UnitriangularMatrix
 from circparikh.cli import main
 
@@ -196,11 +198,29 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in out and "w=abc: witness" in out
 
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("power", "--max-length", "-1"),
+            ("power", "--max-power", "0"),
+            ("ce1-iff", "--max-split", "-1"),
+            ("distinct-count", "--max-length", "-3"),
+        ],
+    )
+    def test_bound_that_checks_nothing_is_usage_error(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+        assert code == 64 and out == ""
+        assert flag[2:].replace("-", "_") in err
+
 
 class TestSearchMinor:
     def test_binary_none_found(self, capsys):
         code, out, _ = run(capsys, "search-minor", "-a", "a,b", "--max-length", "8")
         assert (code, out.strip()) == (0, "none found")
+
+    def test_negative_length_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "search-minor", "--max-length", "-1")
+        assert code == 64 and out == "" and "length" in err
 
 
 class TestUsage:

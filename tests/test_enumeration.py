@@ -124,6 +124,18 @@ class TestSuites:
             assert result.failures == ()
             assert result.elapsed >= 0
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            SuiteLimits(max_length=-1),
+            SuiteLimits(max_split=-1),
+            SuiteLimits(max_power=0),
+        ],
+    )
+    def test_rejects_bounds_that_check_nothing(self, limits):
+        with pytest.raises(ValueError):
+            run_suite("power", limits)
+
     def test_naive_failures_suite(self):
         result = run_suite("naive-failures")
         assert result.passed and result.checked == 6
@@ -147,6 +159,10 @@ class TestMinorSearch:
         first = search_negative_minor(ABC, 6)
         second = search_negative_minor(ABC, 6)
         assert first == second
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            search_negative_minor(ABC, -1)
 
     def test_unary_alphabet(self):
         # matrices are ((1, n), (0, 1)); all minors are counts or 1

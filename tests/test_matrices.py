@@ -233,6 +233,14 @@ def test_from_json_rejects_garbage():
         UnitriangularMatrix.from_json('{"dim": 3, "entries": [["1"]]}')
 
 
+def test_from_json_rejects_booleans():
+    with pytest.raises(ValueError):
+        UnitriangularMatrix.from_json('{"dim": 2, "entries": [[true, 5], [false, true]]}')
+    with pytest.raises(ValueError):
+        UnitriangularMatrix.from_json('{"dim": 2, "entries": [[1, false], [0, 1]]}')
+    assert UnitriangularMatrix.from_json('{"dim": 2, "entries": [[1, 5], [0, 1]]}').rows[0][1] == 5
+
+
 def test_parse_rational():
     assert parse_rational("3/6") == F(1, 2)
     assert parse_rational("-4") == -4

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from circparikh import (
     avg_count,
     canonicalize,
     count_subword,
+    enumerate_necklaces,
     find_ce1,
     find_ce2,
     m_equivalent,
@@ -19,6 +21,7 @@ from circparikh import (
     parikh_vector_sufficiency,
     rewrite_closure,
 )
+from circparikh.rewriting import ce2_condition
 
 ABC = Alphabet("abc")
 AB = Alphabet("ab")
@@ -195,6 +198,19 @@ class TestRuleTheorems:
                     }
                     assert source in back
 
+    def test_finder_verdicts_match_m_equivalence(self):
+        checked = 0
+        for n in range(9):
+            for source in enumerate_necklaces(ABC, n):
+                for app in find_ce1(source) + find_ce2(source):
+                    assert app.valid == m_equivalent(source, app.result), (source, app)
+                    checked += 1
+        assert checked == 1689
+
+    def test_ce2_condition_rejects_b_as_alpha(self):
+        with pytest.raises(ValueError):
+            ce2_condition(ABC, "a", "c", "b")
+
 
 class TestNaiveFailures:
     def test_report(self):
@@ -238,6 +254,16 @@ class TestClosure:
         graph = rewrite_closure(canonicalize(ABC, "abacca"), max_steps=1)
         assert len(graph.nodes) == 1
         assert not graph.complete
+
+    def test_truncated_dot_names_only_declared_nodes(self):
+        graph = rewrite_closure(canonicalize(ABC, "aaaabbbbb"), max_steps=3)
+        assert not graph.complete and len(graph.nodes) == 3
+        dot = graph.to_dot()
+        declared = set(re.findall(r'^  "(\w+)" \[', dot, re.M))
+        endpoints = re.findall(r'^  "(\w+)" -- "(\w+)"', dot, re.M)
+        assert declared == {node.canonical for node in graph.nodes}
+        assert len(endpoints) == len(graph.edges) > 0
+        assert {name for pair in endpoints for name in pair} <= declared
 
     def test_rule_filter_and_unknown_rule(self):
         graph = rewrite_closure(canonicalize(ABC, "abacca"), rules=("CE2",))

@@ -1,0 +1,97 @@
+"""The rotation kernel against brute-force per-shift sums.
+
+`_rotation_sums` conjugates one generalized Parikh matrix around the word;
+the oracles below recount every cyclic shift from scratch with the linear
+`_count` and `_parikh_rows`, which is how the class averages used to be
+computed.
+"""
+
+import itertools
+
+import pytest
+
+from circparikh import Alphabet, canonicalize, circular_parikh_matrix, m_equivalent
+from circparikh.circular import _rotation_sums
+from circparikh.words import _count, _parikh_rows
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def shifts(word):
+    return [word[i:] + word[:i] for i in range(len(word))] or [""]
+
+
+def count_oracle(word, pattern):
+    m = len(pattern)
+    return [
+        [sum(_count(u, pattern[i:j]) for u in shifts(word)) if i <= j else 0 for j in range(m + 1)]
+        for i in range(m + 1)
+    ]
+
+
+def ladder_oracle(alphabet, word):
+    d = alphabet.size + 1
+    total = [[0] * d for _ in range(d)]
+    for u in shifts(word):
+        for trow, row in zip(total, _parikh_rows(alphabet, u)):
+            for j, value in enumerate(row):
+                trow[j] += value
+    return total
+
+
+def words_up_to(symbols, max_len):
+    for n in range(max_len + 1):
+        for tup in itertools.product(symbols, repeat=n):
+            yield "".join(tup)
+
+
+@st.composite
+def word_and_pattern(draw):
+    symbols = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    word = draw(st.text(alphabet=symbols, max_size=40))
+    return symbols, word, draw(st.text(alphabet=symbols, max_size=6))
+
+
+@SETTINGS
+@hypothesis.given(word_and_pattern())
+def test_kernel_matches_per_shift_counts(case):
+    _, word, pattern = case
+    assert _rotation_sums(word, pattern) == count_oracle(word, pattern)
+
+
+@SETTINGS
+@hypothesis.given(word_and_pattern())
+def test_ladder_kernel_matches_per_shift_parikh_rows(case):
+    symbols, word, _ = case
+    assert _rotation_sums(word, symbols) == ladder_oracle(Alphabet(symbols), word)
+
+
+@SETTINGS
+@hypothesis.given(word_and_pattern(), st.text(alphabet="abcd", max_size=12))
+def test_m_equivalent_is_matrix_equality(case, other):
+    symbols, word, _ = case
+    alphabet = Alphabet(symbols)
+    other = "".join(ch for ch in other if ch in symbols)
+    cw1, cw2 = canonicalize(alphabet, word), canonicalize(alphabet, other)
+    assert m_equivalent(cw1, cw2) == (circular_parikh_matrix(cw1) == circular_parikh_matrix(cw2))
+
+
+def test_kernel_exhaustive_small():
+    for symbols, max_len in (("ab", 7), ("abc", 5)):
+        patterns = list(words_up_to(symbols, 3))
+        for word in words_up_to(symbols, max_len):
+            assert _rotation_sums(word, symbols) == ladder_oracle(Alphabet(symbols), word)
+            for pattern in patterns:
+                assert _rotation_sums(word, pattern) == count_oracle(word, pattern), (word, pattern)
+
+
+def test_m_equivalent_exhaustive_small_across_lengths():
+    for symbols, max_len in (("ab", 6), ("abc", 4)):
+        alphabet = Alphabet(symbols)
+        classes = {canonicalize(alphabet, w) for w in words_up_to(symbols, max_len)}
+        matrices = {cw: circular_parikh_matrix(cw) for cw in classes}
+        for cw1, cw2 in itertools.product(classes, repeat=2):
+            assert m_equivalent(cw1, cw2) == (matrices[cw1] == matrices[cw2])
