@@ -87,7 +87,8 @@ class CircularWord:
 
     `class_size` is the number of distinct rotations, which equals the
     length of the primitive root `period`; the empty circular word has
-    class size 1.  Build instances with `canonicalize`.
+    class size 1.  Build instances with `canonicalize`, or take them from
+    `enumerate_necklaces`.
     """
 
     alphabet: Alphabet
@@ -167,9 +168,14 @@ def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
     Entry (i, j+1) equals avg_count of the ladder subword a_i ... a_j;
     entries are exact rationals.
     """
-    n = max(cw.length, 1)
-    rows = _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))
-    return UnitriangularMatrix([[Fraction(e, n) for e in row] for row in rows])
+    return _class_average(_rotation_sums(cw.canonical, "".join(cw.alphabet.symbols)), cw.length)
+
+
+def _class_average(sums, length: int) -> UnitriangularMatrix:
+    """The ladder rotation sums of a word of this length, divided by the length."""
+    n = max(length, 1)
+    # The kernel's sums are n times a unitriangular matrix: no re-validation.
+    return UnitriangularMatrix._trusted(tuple(tuple(Fraction(e, n) for e in row) for row in sums))
 
 
 def binary_closed_form(na: int, nb: int) -> UnitriangularMatrix:

@@ -29,7 +29,7 @@ from .words import Alphabet, count_subword, parikh_matrix
 
 USAGE_ERROR = 64
 
-# Enumeration guard rails for the classes command (words generated: size^n).
+# Enumeration guard rails for classes and search-minor (about size^n / n necklaces).
 _LENGTH_CAPS = {1: 16, 2: 16, 3: 12, 4: 8}
 
 
@@ -196,15 +196,19 @@ def _cmd_rules(args) -> int:
     return 0
 
 
-def _cmd_classes(args) -> int:
-    alphabet = _alphabet(args)
+def _check_length(command: str, alphabet: Alphabet, length: int) -> None:
     cap = _LENGTH_CAPS.get(alphabet.size)
     if cap is None:
-        raise _UsageError(f"classes supports alphabets of size <= 4, got {alphabet}")
-    if args.length < 0 or args.length > cap:
+        raise _UsageError(f"{command} supports alphabets of size <= 4, got {alphabet}")
+    if length < 0 or length > cap:
         raise _UsageError(
             f"length must be between 0 and {cap} for a size-{alphabet.size} alphabet"
         )
+
+
+def _cmd_classes(args) -> int:
+    alphabet = _alphabet(args)
+    _check_length("classes", alphabet, args.length)
     report = partition_by_matrix(alphabet, args.length)
     if args.format == "json":
         print(report.to_json())
@@ -245,6 +249,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search_minor(args) -> int:
     alphabet = _alphabet(args)
+    _check_length("search-minor", alphabet, args.max_length)
     witness = search_negative_minor(alphabet, args.max_length)
     if witness is None:
         print("none found")

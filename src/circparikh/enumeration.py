@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circular import (
+    CircularWord,
+    _class_average,
     _rotation_sums,
     binary_closed_form,
     canonicalize,
@@ -44,18 +46,31 @@ _ABC = Alphabet("abc")
 
 def enumerate_necklaces(alphabet: Alphabet, n: int) -> list:
     """One canonical CircularWord per conjugacy class of length-n words,
-    in lexicographic order of the canonical representative."""
+    in lexicographic order of the canonical representative.
+
+    Fredricksen-Kessler-Maiorana generation (Ruskey, Savage and Wang,
+    "Generating necklaces", J. Algorithms 13, 1992): step through the
+    pre-necklaces in lexicographic order and keep those whose longest
+    Lyndon prefix has a length dividing n; that prefix is the primitive root.
+    """
     if n < 0:
         raise ValueError("length must be non-negative")
     if n == 0:
-        return [canonicalize(alphabet, "")]
+        return [CircularWord(alphabet, "", "")]
+    symbols = alphabet.symbols
+    successor = dict(zip(symbols, symbols[1:]))
+    prefix = symbols[0]
+    word = prefix * n
     out = []
-    for tup in itertools.product(alphabet.symbols, repeat=n):
-        word = "".join(tup)
-        cw = canonicalize(alphabet, word)
-        if cw.canonical == word:  # visit each class at its least rotation only
-            out.append(cw)
-    return out
+    while True:
+        if n % len(prefix) == 0:
+            out.append(CircularWord(alphabet, word, prefix))
+        head = word.rstrip(symbols[-1])
+        if not head:
+            return out
+        # Raise the last symbol that can grow and extend periodically.
+        prefix = head[:-1] + successor[head[-1]]
+        word = prefix * (n // len(prefix)) + prefix[: n % len(prefix)]
 
 
 def _phi(n: int) -> int:
@@ -115,14 +130,21 @@ class MEquivClassReport:
         return buf.getvalue()
 
 
+def _ladder_sums(cw: CircularWord) -> tuple:
+    """The integer rotation sums behind the circular Parikh matrix, hashable.
+    Among words of one length, equal sums mean equal matrices."""
+    return tuple(map(tuple, _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))))
+
+
 def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
     """Group the necklaces of length n by their matrix key; two members of
     a group are M-equivalent, members of different groups are not."""
     classes = {}
     for cw in enumerate_necklaces(alphabet, n):
-        key = circular_parikh_matrix(cw).key()
-        classes.setdefault(key, []).append(cw.canonical)
-    return MEquivClassReport(alphabet, n, {k: tuple(v) for k, v in classes.items()})
+        classes.setdefault(_ladder_sums(cw), []).append(cw.canonical)
+    return MEquivClassReport(
+        alphabet, n, {_class_average(sums, n).key(): tuple(v) for sums, v in classes.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -309,7 +331,7 @@ def _suite_binary_mequiv(limits, fail):
         by_key = {}
         by_vector = {}
         for cw in enumerate_necklaces(_AB, n):
-            by_key.setdefault(circular_parikh_matrix(cw).key(), set()).add(cw.canonical)
+            by_key.setdefault(_ladder_sums(cw), set()).add(cw.canonical)
             by_vector.setdefault(parikh_vector(_AB, cw.canonical), set()).add(
                 cw.canonical
             )
@@ -325,7 +347,7 @@ def _suite_distinct_count(limits, fail):
     nmax = limits.max_length if limits.max_length is not None else 12
     checked = 0
     for n in range(nmax + 1):
-        keys = {circular_parikh_matrix(cw).key() for cw in enumerate_necklaces(_AB, n)}
+        keys = {_ladder_sums(cw) for cw in enumerate_necklaces(_AB, n)}
         if len(keys) != n + 1:
             fail(f"n={n}: {len(keys)} distinct matrices, expected {n + 1}")
         checked += 1
@@ -433,6 +455,21 @@ def _int_det(matrix) -> int:
     return total
 
 
+def _minor_pairs(d: int) -> list:
+    """The (rows, cols) index pairs of the square minors of a d x d matrix,
+    in scan order, less those whose submatrix is upper triangular
+    (rows[u+1] > cols[u] for every u): in a triangular matrix with entries
+    >= 0 such a minor is a product of entries >= 0."""
+    pairs = []
+    for k in range(1, d + 1):
+        index_sets = list(itertools.combinations(range(d), k))
+        for rows in index_sets:
+            for cols in index_sets:
+                if any(rows[u + 1] <= cols[u] for u in range(k - 1)):
+                    pairs.append((rows, cols))
+    return pairs
+
+
 def search_negative_minor(alphabet: Alphabet, max_n: int) -> MinorWitness | None:
     """Scan all necklaces up to length max_n for a circular Parikh matrix
     with a negative square minor; return the first witness found, or None.
@@ -440,28 +477,24 @@ def search_negative_minor(alphabet: Alphabet, max_n: int) -> MinorWitness | None
     The scan order (length, then canonical word, then minor size, then
     index tuples) is deterministic.  Determinants are taken on the integer
     matrix scaled by the word length, which has the same sign; the reported
-    value is rescaled to the true minor of the rational matrix.
+    value is rescaled to the true minor of the rational matrix.  Minors
+    that cannot be negative (see `_minor_pairs`) are skipped.
     """
     if max_n < 0:
         raise ValueError("length must be non-negative")
-    d = alphabet.size + 1
-    index_sets = {
-        k: list(itertools.combinations(range(d), k)) for k in range(1, d + 1)
-    }
+    pairs = _minor_pairs(alphabet.size + 1)
+    ladder = "".join(alphabet.symbols)
     for n in range(max_n + 1):
         for cw in enumerate_necklaces(alphabet, n):
-            rows = _rotation_sums(cw.canonical, "".join(alphabet.symbols))
-            for k in range(1, d + 1):
-                for row_idx in index_sets[k]:
-                    picked = [rows[i] for i in row_idx]
-                    for col_idx in index_sets[k]:
-                        det = _int_det([[row[j] for j in col_idx] for row in picked])
-                        if det < 0:
-                            return MinorWitness(
-                                cw.canonical,
-                                n,
-                                tuple(i + 1 for i in row_idx),
-                                tuple(j + 1 for j in col_idx),
-                                Fraction(det, max(n, 1) ** k),
-                            )
+            rows = _rotation_sums(cw.canonical, ladder)
+            for row_idx, col_idx in pairs:
+                det = _int_det([[rows[i][j] for j in col_idx] for i in row_idx])
+                if det < 0:
+                    return MinorWitness(
+                        cw.canonical,
+                        n,
+                        tuple(i + 1 for i in row_idx),
+                        tuple(j + 1 for j in col_idx),
+                        Fraction(det, max(n, 1) ** len(row_idx)),
+                    )
     return None

@@ -10,10 +10,13 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -26,6 +29,36 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value) -> str:
     """Lowest-terms text form: "p/q", or just "p" when the denominator is 1."""
     return str(Fraction(value))
+
+
+def _scale(*matrices) -> int:
+    """Least common multiple of the denominators of all entries."""
+    return math.lcm(*(e.denominator for m in matrices for row in m.rows for e in row))
+
+
+def _scaled(matrix, scale: int) -> list:
+    """Integer form N[i][j] = M[i][j] * scale^(j-i) of a unitriangular M.
+
+    N = S M S^-1 with S = diag(scale^-i), so products, powers and inverses
+    may be taken on N in integers and scaled back once at the end.
+    """
+    return [
+        [
+            e.numerator * (scale // e.denominator) * scale ** (j - i - 1) if j > i else int(i == j)
+            for j, e in enumerate(row)
+        ]
+        for i, row in enumerate(matrix.rows)
+    ]
+
+
+def _int_mul(a, b) -> list:
+    """Product of two upper triangular integer matrices."""
+    d = len(a)
+    # Only k in [i, j] contributes for triangular factors.
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(i, j + 1)) if j >= i else 0 for j in range(d)]
+        for i in range(d)
+    ]
 
 
 class UnitriangularMatrix:
@@ -52,6 +85,27 @@ class UnitriangularMatrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, rows) -> "UnitriangularMatrix":
+        """Wrap tuple rows of Fractions already known to be unitriangular."""
+        matrix = object.__new__(cls)
+        matrix.dim = len(rows)
+        matrix.rows = rows
+        return matrix
+
+    @classmethod
+    def _unscaled(cls, scaled, scale: int) -> "UnitriangularMatrix":
+        """The rational matrix whose integer form (see `_scaled`) is `scaled`."""
+        return cls._trusted(
+            tuple(
+                tuple(
+                    Fraction(e, scale ** (j - i)) if j > i else _ONE if i == j else _ZERO
+                    for j, e in enumerate(row)
+                )
+                for i, row in enumerate(scaled)
+            )
+        )
+
+    @classmethod
     def identity(cls, dim: int) -> "UnitriangularMatrix":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
@@ -60,18 +114,8 @@ class UnitriangularMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        d = self.dim
-        a, b = self.rows, other.rows
-        # Only k in [i, j] contributes for triangular factors.
-        return UnitriangularMatrix(
-            [
-                [
-                    sum(a[i][k] * b[k][j] for k in range(i, j + 1)) if j >= i else 0
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-        )
+        scale = _scale(self, other)
+        return self._unscaled(_int_mul(_scaled(self, scale), _scaled(other, scale)), scale)
 
     def __pow__(self, exponent: int) -> "UnitriangularMatrix":
         """Exact power by repeated squaring; exponent must be >= 0."""
@@ -79,33 +123,37 @@ class UnitriangularMatrix:
             raise ValueError(f"exponent must be an integer, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative powers are not defined here; use inverse()")
-        result = UnitriangularMatrix.identity(self.dim)
-        base = self
+        d = self.dim
+        scale = _scale(self)
+        result = [[int(i == j) for j in range(d)] for i in range(d)]
+        base = _scaled(self, scale)
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _int_mul(result, base)
             e >>= 1
-        return result
+            if e:
+                base = _int_mul(base, base)
+        return self._unscaled(result, scale)
 
     def inverse(self) -> "UnitriangularMatrix":
         """Exact inverse; always exists and is again unitriangular."""
         d = self.dim
-        a = self.rows
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+        scale = _scale(self)
+        a = _scaled(self, scale)
+        inv = [[int(i == j) for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
                 inv[i][j] = -sum(inv[i][k] * a[k][j] for k in range(i, j))
-        return UnitriangularMatrix(inv)
+        return self._unscaled(inv, scale)
 
     def alternate(self) -> "UnitriangularMatrix":
         """Checkerboard sign flip: entry (i,j) becomes (-1)^(i+j) times itself."""
-        return UnitriangularMatrix(
-            [
-                [entry if (i + j) % 2 == 0 else -entry for j, entry in enumerate(row)]
+        return self._trusted(
+            tuple(
+                tuple(entry if (i + j) % 2 == 0 else -entry for j, entry in enumerate(row))
                 for i, row in enumerate(self.rows)
-            ]
+            )
         )
 
     def key(self) -> str:
@@ -129,7 +177,14 @@ class UnitriangularMatrix:
             raise ValueError('matrix JSON must be {"dim": n, "entries": [[...]]}')
         dim = data["dim"]
         entries = data["entries"]
-        if not isinstance(entries, list) or len(entries) != dim:
+        # bool is an int subclass; JSON true/false are not dimensions
+        if type(dim) is not int:
+            raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"matrix JSON entries must be a list of rows, got {type(entries).__name__}"
+            )
+        if len(entries) != dim:
             raise ValueError(f"expected {dim} rows, got {len(entries)}")
         rows = []
         for row in entries:

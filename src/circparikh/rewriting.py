@@ -257,9 +257,11 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
 
     Every node is canonical and all nodes are pairwise M-equivalent.  The
     closure is finite (length and letter counts are preserved); max_steps
-    caps the number of nodes as a guard.
+    caps the number of nodes as a guard and must be at least 1.
     """
     _require_ternary(cw.alphabet)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     rules = tuple(rules)
     for rule in rules:
         if rule not in _FINDERS:

@@ -213,6 +213,13 @@ class TestVerify:
         assert flag[2:].replace("-", "_") in err
 
 
+class TestRulesClosureBudget:
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_non_positive_budget_is_usage_error(self, capsys, steps):
+        code, out, err = run(capsys, "rules", "--closure", "--max-steps", steps, "abacca")
+        assert code == 64 and out == "" and "max_steps" in err
+
+
 class TestSearchMinor:
     def test_binary_none_found(self, capsys):
         code, out, _ = run(capsys, "search-minor", "-a", "a,b", "--max-length", "8")
@@ -221,6 +228,18 @@ class TestSearchMinor:
     def test_negative_length_is_usage_error(self, capsys):
         code, out, err = run(capsys, "search-minor", "--max-length", "-1")
         assert code == 64 and out == "" and "length" in err
+
+    def test_readme_example(self, capsys):
+        code, out, _ = run(capsys, "search-minor", "-a", "a,b,c", "--max-length", "10")
+        assert (code, out.strip()) == (0, "none found")
+
+    @pytest.mark.parametrize(
+        "alphabet, length, cap",
+        [("a,b,c", "13", "12"), ("a,b,c,d", "9", "8"), ("a,b", "17", "16"), ("a,b,c,d,e", "2", "4")],
+    )
+    def test_length_cap(self, capsys, alphabet, length, cap):
+        code, out, err = run(capsys, "search-minor", "-a", alphabet, "--max-length", length)
+        assert code == 64 and out == "" and cap in err
 
 
 class TestUsage:

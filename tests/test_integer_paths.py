@@ -1,0 +1,173 @@
+"""The integer fast paths of the exhaustive checks against slow oracles.
+
+The oracles are the code these paths replaced: necklaces found by running
+Booth's least rotation on every word, matrix algebra done entry by entry
+in `Fraction`, class keys formatted per necklace, and the minor scan over
+every square minor.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from circparikh import (
+    Alphabet,
+    UnitriangularMatrix,
+    canonicalize,
+    circular_parikh_matrix,
+    enumerate_necklaces,
+    partition_by_matrix,
+    search_negative_minor,
+)
+from circparikh.circular import _rotation_sums
+from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def necklace_oracle(alphabet, n):
+    out = []
+    for letters in itertools.product(alphabet.symbols, repeat=n):
+        word = "".join(letters)
+        cw = canonicalize(alphabet, word)
+        if cw.canonical == word:
+            out.append(cw)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["a", "ba", "c,a,b", "b,d,a,c"])
+def test_fkm_matches_booth_oracle(spec):
+    alphabet = Alphabet.parse(spec)
+    for n in range(9):
+        # CircularWord equality compares the alphabet, canonical word and period.
+        assert enumerate_necklaces(alphabet, n) == necklace_oracle(alphabet, n)
+
+
+def mul_oracle(a, b):
+    d = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(d)), Fraction(0)) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def pow_oracle(rows, p):
+    d = len(rows)
+    out = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for _ in range(p):
+        out = mul_oracle(out, rows)
+    return out
+
+
+def inverse_oracle(rows):
+    d = len(rows)
+    inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            inv[i][j] = -sum(inv[i][k] * rows[k][j] for k in range(i, j))
+    return inv
+
+
+def assert_rows(matrix, expected):
+    assert [list(row) for row in matrix.rows] == expected
+    assert all(type(e) is Fraction for row in matrix.rows for e in row)
+
+
+# Mixed denominators, integer entries among them.
+ENTRIES = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def matrix_pairs(draw):
+    d = draw(st.integers(2, 5))
+
+    def one():
+        return UnitriangularMatrix(
+            [[draw(ENTRIES) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+        )
+
+    return one(), one()
+
+
+@SETTINGS
+@hypothesis.given(matrix_pairs(), st.integers(0, 6))
+def test_integer_algebra_matches_fraction_oracle(pair, p):
+    a, b = pair
+    rows_a, rows_b = [list(r) for r in a.rows], [list(r) for r in b.rows]
+    assert_rows(a * b, mul_oracle(rows_a, rows_b))
+    assert_rows(a**p, pow_oracle(rows_a, p))
+    assert_rows(a.inverse(), inverse_oracle(rows_a))
+
+
+@st.composite
+def nonnegative_upper(draw):
+    d = draw(st.integers(1, 5))
+    return [[draw(st.integers(0, 9)) if j >= i else 0 for j in range(d)] for i in range(d)]
+
+
+@SETTINGS
+@hypothesis.given(nonnegative_upper())
+def test_skipped_minors_are_nonnegative(matrix):
+    d = len(matrix)
+    kept = set(_minor_pairs(d))
+    for k in range(1, d + 1):
+        for rows in itertools.combinations(range(d), k):
+            for cols in itertools.combinations(range(d), k):
+                if (rows, cols) not in kept:
+                    assert _int_det([[matrix[i][j] for j in cols] for i in rows]) >= 0
+
+
+def all_minor_pairs(d):
+    return [
+        (rows, cols)
+        for k in range(1, d + 1)
+        for rows in itertools.combinations(range(d), k)
+        for cols in itertools.combinations(range(d), k)
+    ]
+
+
+def test_minor_pairs_keep_scan_order():
+    for d in range(1, 7):
+        full = all_minor_pairs(d)
+        kept = _minor_pairs(d)
+        assert kept == [pair for pair in full if pair in set(kept)]
+    assert (len(all_minor_pairs(4)), len(_minor_pairs(4))) == (69, 8)
+
+
+def minor_oracle(alphabet, max_n):
+    ladder = "".join(alphabet.symbols)
+    pairs = all_minor_pairs(alphabet.size + 1)
+    for n in range(max_n + 1):
+        for cw in necklace_oracle(alphabet, n):
+            rows = _rotation_sums(cw.canonical, ladder)
+            for r, c in pairs:
+                det = _int_det([[rows[i][j] for j in c] for i in r])
+                if det < 0:
+                    return MinorWitness(
+                        cw.canonical,
+                        n,
+                        tuple(i + 1 for i in r),
+                        tuple(j + 1 for j in c),
+                        Fraction(det, max(n, 1) ** len(r)),
+                    )
+    return None
+
+
+@pytest.mark.parametrize("spec, max_n", [("a,b,c,d", 5), ("d,c,b,a", 5), ("c,a,b", 6), ("a,b", 8)])
+def test_pruned_minor_search_matches_full_scan(spec, max_n):
+    alphabet = Alphabet.parse(spec)
+    assert search_negative_minor(alphabet, max_n) == minor_oracle(alphabet, max_n)
+
+
+@pytest.mark.parametrize("spec, n", [("a,b", 8), ("c,a,b", 6), ("a,b,c,d", 4)])
+def test_integer_class_keys_match_matrix_keys(spec, n):
+    alphabet = Alphabet.parse(spec)
+    classes = {}
+    for cw in necklace_oracle(alphabet, n):
+        classes.setdefault(circular_parikh_matrix(cw).key(), []).append(cw.canonical)
+    report = partition_by_matrix(alphabet, n)
+    assert list(report.classes.items()) == [(k, tuple(v)) for k, v in classes.items()]

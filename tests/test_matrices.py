@@ -233,6 +233,21 @@ def test_from_json_rejects_garbage():
         UnitriangularMatrix.from_json('{"dim": 3, "entries": [["1"]]}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 2, "entries": 5}', "entries must be a list"),
+        ('{"dim": 2, "entries": {"0": [1, 0]}}', "entries must be a list"),
+        ('{"dim": "2", "entries": [[1, 0], [0, 1]]}', "dim must be an integer"),
+        ('{"dim": 2.0, "entries": [[1, 0], [0, 1]]}', "dim must be an integer"),
+        ('{"dim": true, "entries": [[1]]}', "dim must be an integer"),
+    ],
+)
+def test_from_json_type_checks_dim_and_entries(text, message):
+    with pytest.raises(ValueError, match=message):
+        UnitriangularMatrix.from_json(text)
+
+
 def test_from_json_rejects_booleans():
     with pytest.raises(ValueError):
         UnitriangularMatrix.from_json('{"dim": 2, "entries": [[true, 5], [false, true]]}')

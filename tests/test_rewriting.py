@@ -255,6 +255,11 @@ class TestClosure:
         assert len(graph.nodes) == 1
         assert not graph.complete
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_node_budget_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            rewrite_closure(canonicalize(ABC, "abacca"), max_steps=steps)
+
     def test_truncated_dot_names_only_declared_nodes(self):
         graph = rewrite_closure(canonicalize(ABC, "aaaabbbbb"), max_steps=3)
         assert not graph.complete and len(graph.nodes) == 3
