@@ -57,30 +57,6 @@ def primitive_root(word: str) -> str:
     return word  # n == 0
 
 
-def _least_rotation(seq) -> int:
-    """Booth's algorithm: index at which the least rotation of seq starts."""
-    n = len(seq)
-    if n == 0:
-        return 0
-    doubled = seq + seq
-    failure = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        item = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and item != doubled[k + i + 1]:
-            if item < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if item != doubled[k + i + 1]:
-            if item < doubled[k]:
-                k = j
-            failure[j - k] = -1
-        else:
-            failure[j - k] = i + 1
-    return k
-
-
 @dataclass(frozen=True)
 class CircularWord:
     """A conjugacy class, held by its canonical (least) rotation.
@@ -110,14 +86,26 @@ class CircularWord:
 def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     """Canonical form of the circular word represented by `word`.
 
-    Conjugate representatives map to the same CircularWord.
+    Conjugate representatives map to the same CircularWord.  One pass of
+    Duval's Lyndon factorization ("Factorizing words over an ordered
+    alphabet", J. Algorithms 4, 1983) over the ranks of w·w: the last
+    factor that starts before |w| starts the least rotation, and the
+    length of its Lyndon word is the period.
     """
     ranks = alphabet.ranks(word)
-    if not word:
-        return CircularWord(alphabet, "", "")
-    k = _least_rotation(ranks)
-    canonical = word[k:] + word[:k]
-    return CircularWord(alphabet, canonical, primitive_root(canonical))
+    n = len(ranks)
+    doubled = ranks + ranks
+    start = period = i = 0
+    while i < n:
+        start, k, j = i, i, i + 1
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        period = j - k
+        while i <= k:
+            i += period
+    canonical = word[start:] + word[:start]
+    return CircularWord(alphabet, canonical, canonical[:period])
 
 
 def direct_count(cw: CircularWord, pattern: str) -> int:
@@ -168,7 +156,14 @@ def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
     Entry (i, j+1) equals avg_count of the ladder subword a_i ... a_j;
     entries are exact rationals.
     """
-    return _class_average(_rotation_sums(cw.canonical, "".join(cw.alphabet.symbols)), cw.length)
+    return _class_average(_ladder_sums(cw), cw.length)
+
+
+def _ladder_sums(cw: CircularWord) -> tuple:
+    """The rotation sums of the ladder a_1 ... a_s, hashable: |w| times the
+    circular Parikh matrix.  Equal sums iff equal matrices, since each fixes
+    |w| (diagonal / superdiagonal total)."""
+    return tuple(map(tuple, _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))))
 
 
 def _class_average(sums, length: int) -> UnitriangularMatrix:
@@ -194,9 +189,7 @@ def m_equivalent(cw1: CircularWord, cw2: CircularWord) -> bool:
         raise ValueError(
             f"alphabet mismatch: {cw1.alphabet} vs {cw2.alphabet}"
         )
-    # Equal sums iff equal matrices: each fixes |w| (diagonal / superdiagonal total).
-    ladder = "".join(cw1.alphabet.symbols)
-    return _rotation_sums(cw1.canonical, ladder) == _rotation_sums(cw2.canonical, ladder)
+    return _ladder_sums(cw1) == _ladder_sums(cw2)
 
 
 def mirror_class(cw: CircularWord) -> CircularWord:

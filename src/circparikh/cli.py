@@ -29,8 +29,12 @@ from .words import Alphabet, count_subword, parikh_matrix
 
 USAGE_ERROR = 64
 
-# Enumeration guard rails for classes and search-minor (about size^n / n necklaces).
+# Enumeration guard rails for classes, search-minor and verify (about size^n / n necklaces).
 _LENGTH_CAPS = {1: 16, 2: 16, 3: 12, 4: 8}
+_BINARY_SUITES = ("binary-closed-form", "binary-mequiv", "distinct-count")
+# ce2-iff takes about 8 s at split 7, power about 9 s at power 12.
+_MAX_SPLIT = 8
+_MAX_POWER = 16
 
 
 class _UsageError(Exception):
@@ -175,8 +179,11 @@ def _cmd_rules(args) -> int:
         graph = rewrite_closure(cw, rules=rules, max_steps=args.max_steps)
         dot = graph.to_dot()
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot + "\n")
+            try:
+                with open(args.dot, "w", encoding="utf-8") as handle:
+                    handle.write(dot + "\n")
+            except OSError as exc:
+                raise _UsageError(f"cannot write {args.dot}: {exc.strerror}") from None
             print(
                 f"nodes={len(graph.nodes)} edges={len(graph.edges)} "
                 f"complete={'yes' if graph.complete else 'no'} dot={args.dot}"
@@ -227,6 +234,14 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    size = 2 if args.suite in _BINARY_SUITES else 3
+    for flag, value, cap in (
+        ("max_length", args.max_length, _LENGTH_CAPS[size]),
+        ("max_split", args.max_split, _MAX_SPLIT),
+        ("max_power", args.max_power, _MAX_POWER),
+    ):
+        if value is not None and value > cap:
+            raise _UsageError(f"{flag} must be at most {cap} for suite {args.suite}, got {value}")
     limits = SuiteLimits(
         max_length=args.max_length,
         max_power=args.max_power,

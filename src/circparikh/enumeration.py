@@ -20,7 +20,7 @@ from fractions import Fraction
 from .circular import (
     CircularWord,
     _class_average,
-    _rotation_sums,
+    _ladder_sums,
     binary_closed_form,
     canonicalize,
     circular_inverse_alternate_check,
@@ -130,18 +130,19 @@ class MEquivClassReport:
         return buf.getvalue()
 
 
-def _ladder_sums(cw: CircularWord) -> tuple:
-    """The integer rotation sums behind the circular Parikh matrix, hashable.
-    Among words of one length, equal sums mean equal matrices."""
-    return tuple(map(tuple, _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))))
+def _necklace_classes(alphabet: Alphabet, n: int, key=_ladder_sums) -> dict:
+    """The canonical words of the length-n necklaces grouped by `key`, in
+    enumeration order; the default key, the ladder sums, groups by matrix."""
+    classes = {}
+    for cw in enumerate_necklaces(alphabet, n):
+        classes.setdefault(key(cw), []).append(cw.canonical)
+    return classes
 
 
 def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
     """Group the necklaces of length n by their matrix key; two members of
     a group are M-equivalent, members of different groups are not."""
-    classes = {}
-    for cw in enumerate_necklaces(alphabet, n):
-        classes.setdefault(_ladder_sums(cw), []).append(cw.canonical)
+    classes = _necklace_classes(alphabet, n)
     return MEquivClassReport(
         alphabet, n, {_class_average(sums, n).key(): tuple(v) for sums, v in classes.items()}
     )
@@ -328,18 +329,11 @@ def _suite_binary_mequiv(limits, fail):
     nmax = limits.max_length if limits.max_length is not None else 12
     checked = 0
     for n in range(nmax + 1):
-        by_key = {}
-        by_vector = {}
-        for cw in enumerate_necklaces(_AB, n):
-            by_key.setdefault(_ladder_sums(cw), set()).add(cw.canonical)
-            by_vector.setdefault(parikh_vector(_AB, cw.canonical), set()).add(
-                cw.canonical
-            )
-            checked += 1
-        key_partition = {frozenset(v) for v in by_key.values()}
-        vector_partition = {frozenset(v) for v in by_vector.values()}
-        if key_partition != vector_partition:
+        by_key = _necklace_classes(_AB, n)
+        by_vector = _necklace_classes(_AB, n, lambda cw: parikh_vector(_AB, cw.canonical))
+        if {frozenset(v) for v in by_key.values()} != {frozenset(v) for v in by_vector.values()}:
             fail(f"n={n}: M-equivalence classes differ from Parikh-vector classes")
+        checked += sum(map(len, by_key.values()))
     return checked
 
 
@@ -347,9 +341,9 @@ def _suite_distinct_count(limits, fail):
     nmax = limits.max_length if limits.max_length is not None else 12
     checked = 0
     for n in range(nmax + 1):
-        keys = {_ladder_sums(cw) for cw in enumerate_necklaces(_AB, n)}
-        if len(keys) != n + 1:
-            fail(f"n={n}: {len(keys)} distinct matrices, expected {n + 1}")
+        count = len(_necklace_classes(_AB, n))
+        if count != n + 1:
+            fail(f"n={n}: {count} distinct matrices, expected {n + 1}")
         checked += 1
     return checked
 
@@ -402,7 +396,7 @@ def run_suite(name: str, limits: SuiteLimits | None = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; known suites: {known}")
     if limits is None:
         limits = SuiteLimits()
-    for field, least in (("max_length", 0), ("max_split", 0), ("max_power", 1)):
+    for field, least in (("max_length", 0), ("max_split", 0), ("max_power", 1), ("failure_cap", 0)):
         value = getattr(limits, field)
         if value is not None and value < least:
             raise ValueError(f"{field} must be at least {least}, got {value}")
@@ -483,10 +477,9 @@ def search_negative_minor(alphabet: Alphabet, max_n: int) -> MinorWitness | None
     if max_n < 0:
         raise ValueError("length must be non-negative")
     pairs = _minor_pairs(alphabet.size + 1)
-    ladder = "".join(alphabet.symbols)
     for n in range(max_n + 1):
         for cw in enumerate_necklaces(alphabet, n):
-            rows = _rotation_sums(cw.canonical, ladder)
+            rows = _ladder_sums(cw)
             for row_idx, col_idx in pairs:
                 det = _int_det([[rows[i][j] for j in col_idx] for i in row_idx])
                 if det < 0:

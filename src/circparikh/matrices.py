@@ -26,11 +26,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(value) -> str:
-    """Lowest-terms text form: "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(value))
-
-
 def _scale(*matrices) -> int:
     """Least common multiple of the denominators of all entries."""
     return math.lcm(*(e.denominator for m in matrices for row in m.rows for e in row))

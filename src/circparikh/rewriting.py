@@ -123,61 +123,47 @@ def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     )
 
 
-def find_ce1(cw: CircularWord) -> list:
-    """Every CE1 site of [w]: each rotation r of the canonical word that
-    factors as x·ac·y·ca, with its side condition evaluated."""
-    _require_ternary(cw.alphabet)
-    a, _, c = cw.alphabet.symbols
-    ac, ca = a + c, c + a
-    w = cw.canonical
-    n = len(w)
-    apps = []
-    if n < 4:
-        return apps
-    doubled = w + w
-    for r in range(n):
-        rot = doubled[r : r + n]
-        if rot[-2:] != ca:
-            continue
-        for i in range(n - 3):
-            if rot[i : i + 2] != ac:
-                continue
-            x, y = rot[:i], rot[i + 2 : n - 2]
-            lhs, rhs = ce1_condition(cw.alphabet, x, y)
-            result = canonicalize(cw.alphabet, x + ca + y + ac)
-            apps.append(
-                RuleApplication("CE1", r, len(x), len(y), None, lhs, rhs, result)
-            )
-    return apps
-
-
-def find_ce2(cw: CircularWord) -> list:
-    """Every CE2 site of [w]: each rotation r of the canonical word that
-    factors as x·αb·y·bα (α in {a, c}, y arbitrary), with its condition."""
+def _find_sites(cw: CircularWord, rule: str) -> list:
+    """Every site of `rule` in [w]: each rotation r of the canonical word
+    that factors as x·head·y·tail for one of the rule's (α, head, tail)
+    swaps, with its side condition; ordered by r, then α, then |x|."""
     _require_ternary(cw.alphabet)
     a, b, c = cw.alphabet.symbols
+    if rule == "CE1":
+        swaps = ((None, a + c, c + a),)
+    else:
+        swaps = ((a, a + b, b + a), (c, c + b, b + c))
     w = cw.canonical
     n = len(w)
-    apps = []
-    if n < 4:
-        return apps
     doubled = w + w
+    apps = []
     for r in range(n):
         rot = doubled[r : r + n]
-        for alpha in (a, c):
-            head, tail = alpha + b, b + alpha
+        for alpha, head, tail in swaps:
             if rot[-2:] != tail:
                 continue
             for i in range(n - 3):
                 if rot[i : i + 2] != head:
                     continue
                 x, y = rot[:i], rot[i + 2 : n - 2]
-                lhs, rhs = ce2_condition(cw.alphabet, x, y, alpha)
+                if alpha is None:
+                    lhs, rhs = ce1_condition(cw.alphabet, x, y)
+                else:
+                    lhs, rhs = ce2_condition(cw.alphabet, x, y, alpha)
                 result = canonicalize(cw.alphabet, x + tail + y + head)
-                apps.append(
-                    RuleApplication("CE2", r, len(x), len(y), alpha, lhs, rhs, result)
-                )
+                apps.append(RuleApplication(rule, r, i, len(y), alpha, lhs, rhs, result))
     return apps
+
+
+def find_ce1(cw: CircularWord) -> list:
+    """Every CE1 site of [w]: each rotation that factors as x·ac·y·ca."""
+    return _find_sites(cw, "CE1")
+
+
+def find_ce2(cw: CircularWord) -> list:
+    """Every CE2 site of [w]: each rotation that factors as x·αb·y·bα
+    (α in {a, c}, y arbitrary)."""
+    return _find_sites(cw, "CE2")
 
 
 @dataclass(frozen=True)
@@ -249,9 +235,6 @@ class RewriteGraph:
         return "\n".join(lines)
 
 
-_FINDERS = {"CE1": find_ce1, "CE2": find_ce2}
-
-
 def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100000) -> RewriteGraph:
     """Breadth-first closure of valid CE1/CE2 applications from [w].
 
@@ -264,7 +247,7 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     rules = tuple(rules)
     for rule in rules:
-        if rule not in _FINDERS:
+        if rule not in ("CE1", "CE2"):
             raise ValueError(f"unknown rule {rule!r}; circular rules are CE1, CE2")
     nodes = {cw.canonical: cw}
     order = [cw]
@@ -275,7 +258,7 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     while queue:
         source = queue.popleft()
         for rule in rules:
-            for app in _FINDERS[rule](source):
+            for app in _find_sites(source, rule):
                 if not app.valid:
                     continue
                 target = app.result

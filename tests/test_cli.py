@@ -136,6 +136,12 @@ class TestRules:
         dot = path.read_text()
         assert dot.startswith("graph rewrites {") and "CE1@r=" in dot
 
+    def test_unwritable_dot_path_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "graph.dot"
+        code, out, err = run(capsys, "rules", "abacca", "--closure", "--dot", str(path))
+        assert code == 64 and out == ""
+        assert err.startswith("circparikh: error: cannot write") and str(path) in err
+
     def test_rule_filter(self, capsys):
         code, out, _ = run(capsys, "rules", "--rule", "CE2", "abacca")
         assert (code, out.strip()) == (0, "no applications")
@@ -205,12 +211,34 @@ class TestVerify:
             ("power", "--max-power", "0"),
             ("ce1-iff", "--max-split", "-1"),
             ("distinct-count", "--max-length", "-3"),
+            ("naive-failures", "--failure-cap", "-1"),
         ],
     )
     def test_bound_that_checks_nothing_is_usage_error(self, capsys, suite, flag, value):
         code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
         assert code == 64 and out == ""
         assert flag[2:].replace("-", "_") in err
+
+    @pytest.mark.parametrize(
+        "suite, flag, value, cap",
+        [
+            ("binary-closed-form", "--max-length", "17", "16"),
+            ("power", "--max-length", "13", "12"),
+            ("ce2-iff", "--max-split", "9", "8"),
+            ("power", "--max-power", "17", "16"),
+        ],
+    )
+    def test_bound_over_cap_is_usage_error(self, capsys, suite, flag, value, cap):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+        assert code == 64 and out == ""
+        assert flag[2:].replace("-", "_") in err and cap in err
+
+    def test_bounds_at_caps_are_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "naive-failures",
+            "--max-length", "12", "--max-split", "8", "--max-power", "16",
+        )
+        assert code == 0 and "PASS" in out
 
 
 class TestRulesClosureBudget:

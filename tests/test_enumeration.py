@@ -130,6 +130,7 @@ class TestSuites:
             SuiteLimits(max_length=-1),
             SuiteLimits(max_split=-1),
             SuiteLimits(max_power=0),
+            SuiteLimits(failure_cap=-1),
         ],
     )
     def test_rejects_bounds_that_check_nothing(self, limits):

@@ -1,7 +1,7 @@
 """The integer fast paths of the exhaustive checks against slow oracles.
 
 The oracles are the code these paths replaced: necklaces found by running
-Booth's least rotation on every word, matrix algebra done entry by entry
+`canonicalize` on every word, matrix algebra done entry by entry
 in `Fraction`, class keys formatted per necklace, and the minor scan over
 every square minor.
 """
