@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import UnitriangularMatrix
+from .matrices import UnitriangularMatrix, _alternating, _tri_mul
 from .words import Alphabet, _count, mirror
 
 
@@ -202,9 +202,17 @@ def circular_inverse_alternate_check(cw: CircularWord) -> bool:
     Parikh matrix equals the alternate matrix of the mirrored class."""
     if cw.alphabet.size > 3:
         raise ValueError("holds only for alphabets of size at most 3")
-    inv = circular_parikh_matrix(cw).inverse()
-    alt = circular_parikh_matrix(mirror_class(cw)).alternate()
-    return inv == alt
+    return _inverse_alternate_holds(cw)
+
+
+def _inverse_alternate_holds(cw: CircularWord) -> bool:
+    """M^-1 = alt(M') iff M alt(M') = I iff T alt(T') = n^2 I, with T and T'
+    the ladder sums of [w] and of its mirror and n = max(|w|, 1)."""
+    n = max(cw.length, 1)
+    product = _tri_mul(_ladder_sums(cw), _alternating(_ladder_sums(mirror_class(cw))))
+    return all(
+        e == (n * n if i == j else 0) for i, row in enumerate(product) for j, e in enumerate(row)
+    )
 
 
 def circular_power_check(cw: CircularWord, p: int) -> bool:
@@ -214,8 +222,21 @@ def circular_power_check(cw: CircularWord, p: int) -> bool:
         raise ValueError("holds only for alphabets of size at most 3")
     if p < 1:
         raise ValueError("power must be a positive integer")
-    powered = canonicalize(cw.alphabet, cw.canonical * p)
-    return circular_parikh_matrix(powered) == circular_parikh_matrix(cw) ** p
+    return _power_holds(cw, p)
+
+
+def _power_holds(cw: CircularWord, p: int) -> bool:
+    """M_p = M^p iff n^p T_p = L_p T^p, with T the ladder sums of [w] over
+    n = max(|w|, 1) and T_p those of [w^p] over L_p = max(p |w|, 1)."""
+    sums = _ladder_sums(cw)
+    power = sums
+    for _ in range(p - 1):
+        power = _tri_mul(power, sums)
+    powered = _ladder_sums(canonicalize(cw.alphabet, cw.canonical * p))
+    n_to_p, l_p = max(cw.length, 1) ** p, max(p * cw.length, 1)
+    return all(
+        n_to_p * e_p == l_p * e for row_p, row in zip(powered, power) for e_p, e in zip(row_p, row)
+    )
 
 
 def weak_ratio(alphabet: Alphabet, u: str, v: str) -> bool:

@@ -38,7 +38,7 @@ from .rewriting import (
     ce2_condition,
     naive_rule_failure_examples,
 )
-from .words import Alphabet, parikh_matrix, parikh_vector, permutation_identity_check
+from .words import Alphabet, _parikh_rows, parikh_vector, permutation_identity_check
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -79,6 +79,10 @@ def _phi(n: int) -> int:
 
 def necklace_count(size: int, n: int) -> int:
     """Number of conjugacy classes of length-n words over `size` symbols."""
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    if size < 0:
+        raise ValueError("alphabet size must be non-negative")
     if n == 0:
         return 1
     return sum(_phi(d) * size ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
@@ -301,9 +305,9 @@ def _suite_linear_rules(limits, fail):
     nmax = limits.max_length if limits.max_length is not None else 8
     checked = 0
     for w in _words_up_to(_ABC.symbols, nmax):
-        matrix = parikh_matrix(_ABC, w)
+        rows = _parikh_rows(_ABC, w)
         for w2 in sorted(apply_e1(_ABC, w) | apply_e2(_ABC, w)):
-            if parikh_matrix(_ABC, w2) != matrix:
+            if _parikh_rows(_ABC, w2) != rows:
                 fail(f"{w} -> {w2}: linear Parikh matrix changed")
             checked += 1
     return checked

@@ -10,7 +10,6 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import json
-import math
 import re
 from fractions import Fraction
 
@@ -23,37 +22,32 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction; rejects decimals and floats."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
-def _scale(*matrices) -> int:
-    """Least common multiple of the denominators of all entries."""
-    return math.lcm(*(e.denominator for m in matrices for row in m.rows for e in row))
-
-
-def _scaled(matrix, scale: int) -> list:
-    """Integer form N[i][j] = M[i][j] * scale^(j-i) of a unitriangular M.
-
-    N = S M S^-1 with S = diag(scale^-i), so products, powers and inverses
-    may be taken on N in integers and scaled back once at the end.
-    """
-    return [
-        [
-            e.numerator * (scale // e.denominator) * scale ** (j - i - 1) if j > i else int(i == j)
-            for j, e in enumerate(row)
-        ]
-        for i, row in enumerate(matrix.rows)
-    ]
-
-
-def _int_mul(a, b) -> list:
-    """Product of two upper triangular integer matrices."""
+def _tri_mul(a, b) -> tuple:
+    """Product of two upper triangular matrices given as rows."""
     d = len(a)
-    # Only k in [i, j] contributes for triangular factors.
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(i, j + 1)) if j >= i else 0 for j in range(d)]
+    # Only k in [i, j] contributes for triangular factors; below the
+    # diagonal the product keeps a's zero, of a's entry type.
+    return tuple(
+        tuple(
+            sum(a[i][k] * b[k][j] for k in range(i, j + 1)) if j >= i else a[i][j]
+            for j in range(d)
+        )
         for i in range(d)
-    ]
+    )
+
+
+def _alternating(rows) -> tuple:
+    """The checkerboard sign flip of `alternate`, on rows of any entry type."""
+    return tuple(
+        tuple(entry if (i + j) % 2 == 0 else -entry for j, entry in enumerate(row))
+        for i, row in enumerate(rows)
+    )
 
 
 class UnitriangularMatrix:
@@ -88,19 +82,6 @@ class UnitriangularMatrix:
         return matrix
 
     @classmethod
-    def _unscaled(cls, scaled, scale: int) -> "UnitriangularMatrix":
-        """The rational matrix whose integer form (see `_scaled`) is `scaled`."""
-        return cls._trusted(
-            tuple(
-                tuple(
-                    Fraction(e, scale ** (j - i)) if j > i else _ONE if i == j else _ZERO
-                    for j, e in enumerate(row)
-                )
-                for i, row in enumerate(scaled)
-            )
-        )
-
-    @classmethod
     def identity(cls, dim: int) -> "UnitriangularMatrix":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
@@ -109,8 +90,7 @@ class UnitriangularMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        scale = _scale(self, other)
-        return self._unscaled(_int_mul(_scaled(self, scale), _scaled(other, scale)), scale)
+        return self._trusted(_tri_mul(self.rows, other.rows))
 
     def __pow__(self, exponent: int) -> "UnitriangularMatrix":
         """Exact power by repeated squaring; exponent must be >= 0."""
@@ -118,38 +98,30 @@ class UnitriangularMatrix:
             raise ValueError(f"exponent must be an integer, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative powers are not defined here; use inverse()")
-        d = self.dim
-        scale = _scale(self)
-        result = [[int(i == j) for j in range(d)] for i in range(d)]
-        base = _scaled(self, scale)
+        result = self.identity(self.dim)
+        base = self
         e = exponent
         while e:
             if e & 1:
-                result = _int_mul(result, base)
+                result = result * base
             e >>= 1
             if e:
-                base = _int_mul(base, base)
-        return self._unscaled(result, scale)
+                base = base * base
+        return result
 
     def inverse(self) -> "UnitriangularMatrix":
         """Exact inverse; always exists and is again unitriangular."""
         d = self.dim
-        scale = _scale(self)
-        a = _scaled(self, scale)
-        inv = [[int(i == j) for j in range(d)] for i in range(d)]
+        a = self.rows
+        inv = [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
                 inv[i][j] = -sum(inv[i][k] * a[k][j] for k in range(i, j))
-        return self._unscaled(inv, scale)
+        return self._trusted(tuple(map(tuple, inv)))
 
     def alternate(self) -> "UnitriangularMatrix":
         """Checkerboard sign flip: entry (i,j) becomes (-1)^(i+j) times itself."""
-        return self._trusted(
-            tuple(
-                tuple(entry if (i + j) % 2 == 0 else -entry for j, entry in enumerate(row))
-                for i, row in enumerate(self.rows)
-            )
-        )
+        return self._trusted(_alternating(self.rows))
 
     def key(self) -> str:
         """Canonical text key: strictly-upper entries, row-major, comma-joined.

@@ -29,8 +29,6 @@ from fractions import Fraction
 from .circular import CircularWord, avg_count, canonicalize, m_equivalent
 from .words import Alphabet, parikh_vector
 
-RULE_NAMES = ("E1", "E2", "CE1", "CE2")
-
 
 def _require_ternary(alphabet: Alphabet) -> None:
     if alphabet.size != 3:

@@ -58,6 +58,12 @@ class TestEnumerateNecklaces:
         with pytest.raises(ValueError):
             enumerate_necklaces(AB, -1)
 
+    def test_necklace_count_rejects_negative_arguments(self):
+        for size, n in ((3, -3), (-2, 3), (0, -1), (-1, 0)):
+            with pytest.raises(ValueError):
+                necklace_count(size, n)
+        assert [necklace_count(0, n) for n in range(4)] == [1, 0, 0, 0]
+
 
 class TestPartition:
     def test_binary_length_four(self):

@@ -1,9 +1,10 @@
 """The integer fast paths of the exhaustive checks against slow oracles.
 
 The oracles are the code these paths replaced: necklaces found by running
-`canonicalize` on every word, matrix algebra done entry by entry
-in `Fraction`, class keys formatted per necklace, and the minor scan over
-every square minor.
+`canonicalize` on every word, the power and inverse-alternate identities
+taken on `Fraction` matrices, class keys formatted per necklace, and the
+minor scan over every square minor.  The public matrix algebra, itself
+plain `Fraction` arithmetic, is checked entry by entry.
 """
 
 import itertools
@@ -17,10 +18,11 @@ from circparikh import (
     canonicalize,
     circular_parikh_matrix,
     enumerate_necklaces,
+    mirror_class,
     partition_by_matrix,
     search_negative_minor,
 )
-from circparikh.circular import _rotation_sums
+from circparikh.circular import _inverse_alternate_holds, _power_holds, _rotation_sums
 from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,6 +47,37 @@ def test_fkm_matches_booth_oracle(spec):
     for n in range(9):
         # CircularWord equality compares the alphabet, canonical word and period.
         assert enumerate_necklaces(alphabet, n) == necklace_oracle(alphabet, n)
+
+
+def power_oracle(cw, p):
+    powered = canonicalize(cw.alphabet, cw.canonical * p)
+    return circular_parikh_matrix(powered) == circular_parikh_matrix(cw) ** p
+
+
+def inverse_alternate_oracle(cw):
+    inv = circular_parikh_matrix(cw).inverse()
+    return inv == circular_parikh_matrix(mirror_class(cw)).alternate()
+
+
+# The identities hold for |alphabet| <= 3; the quaternary necklaces give
+# False verdicts, which the public checks refuse to compute.
+@pytest.mark.parametrize(
+    "spec, max_n, verdicts",
+    [("a,b", 7, {True}), ("a,b,c", 7, {True}), ("a,b,c,d", 6, {True, False})],
+)
+def test_integer_identity_checks_match_fraction_oracle(spec, max_n, verdicts):
+    alphabet = Alphabet.parse(spec)
+    seen = set()
+    for n in range(max_n + 1):
+        for cw in enumerate_necklaces(alphabet, n):
+            holds = _inverse_alternate_holds(cw)
+            assert holds == inverse_alternate_oracle(cw), cw
+            seen.add(("inverse", holds))
+            for p in range(1, 5):
+                holds = _power_holds(cw, p)
+                assert holds == power_oracle(cw, p), (cw, p)
+                seen.add(("power", holds))
+    assert seen == {(identity, v) for identity in ("inverse", "power") for v in verdicts}
 
 
 def mul_oracle(a, b):

@@ -231,6 +231,8 @@ def test_from_json_rejects_garbage():
         UnitriangularMatrix.from_json('{"dim": 2}')
     with pytest.raises(ValueError):
         UnitriangularMatrix.from_json('{"dim": 3, "entries": [["1"]]}')
+    with pytest.raises(ValueError, match="zero denominator"):
+        UnitriangularMatrix.from_json('{"dim": 2, "entries": [["1", "1/0"], ["0", "1"]]}')
 
 
 @pytest.mark.parametrize(
@@ -259,7 +261,7 @@ def test_from_json_rejects_booleans():
 def test_parse_rational():
     assert parse_rational("3/6") == F(1, 2)
     assert parse_rational("-4") == -4
-    for bad in ("1.5", "a", "1/2/3", ""):
+    for bad in ("1.5", "a", "1/2/3", "", "3/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
