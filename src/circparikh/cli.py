@@ -234,6 +234,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite not in SUITE_NAMES:
+        raise _UsageError(f"unknown suite {args.suite!r}; known suites: {', '.join(SUITE_NAMES)}")
     size = 2 if args.suite in _BINARY_SUITES else 3
     for flag, value, cap in (
         ("max_length", args.max_length, _LENGTH_CAPS[size]),

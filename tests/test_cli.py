@@ -188,6 +188,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 64 and "unknown suite" in err
 
+    def test_unknown_suite_is_named_before_its_bounds(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "bogus", "--max-length", "13")
+        assert code == 64 and out == ""
+        assert err.startswith("circparikh: error: unknown suite 'bogus'; known suites: ")
+
     def test_naive_failures(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "naive-failures")
         assert code == 0 and "PASS" in out
