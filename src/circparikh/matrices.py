@@ -98,16 +98,17 @@ class UnitriangularMatrix:
             raise ValueError(f"exponent must be an integer, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative powers are not defined here; use inverse()")
-        result = self.identity(self.dim)
+        # Start from the base at the lowest set bit: no product with I.
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return self.identity(self.dim) if result is None else result
 
     def inverse(self) -> "UnitriangularMatrix":
         """Exact inverse; always exists and is again unitriangular."""

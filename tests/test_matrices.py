@@ -89,6 +89,22 @@ def test_power_matches_repeated_multiplication():
             running = running * matrix
 
 
+@pytest.mark.parametrize("p, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
+def test_power_uses_no_wasted_product(monkeypatch, p, products):
+    import circparikh.matrices as matrices
+
+    real = matrices._tri_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(matrices, "_tri_mul", counting)
+    SAMPLE_DIM4[0] ** p
+    assert len(calls) == products
+
+
 def test_power_negative_exponent_rejected():
     with pytest.raises(ValueError):
         UnitriangularMatrix.identity(3) ** -1
