@@ -19,10 +19,10 @@ from .circular import (
 from .enumeration import (
     SUITE_NAMES,
     SuiteLimits,
+    _suite,
     partition_by_matrix,
     run_suite,
     search_negative_minor,
-    suite_description,
 )
 from .rewriting import find_ce1, find_ce2, rewrite_closure
 from .words import Alphabet, count_subword, parikh_matrix
@@ -31,7 +31,6 @@ USAGE_ERROR = 64
 
 # Enumeration guard rails for classes, search-minor and verify (about size^n / n necklaces).
 _LENGTH_CAPS = {1: 16, 2: 16, 3: 12, 4: 8}
-_BINARY_SUITES = ("binary-closed-form", "binary-mequiv", "distinct-count")
 # ce2-iff takes about 8 s at split 7, power about 9 s at power 12.
 _MAX_SPLIT = 8
 _MAX_POWER = 16
@@ -234,9 +233,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in SUITE_NAMES:
-        raise _UsageError(f"unknown suite {args.suite!r}; known suites: {', '.join(SUITE_NAMES)}")
-    size = 2 if args.suite in _BINARY_SUITES else 3
+    suite = _suite(args.suite)
+    size = max(alphabet.size for alphabet in suite.alphabets)
     for flag, value, cap in (
         ("max_length", args.max_length, _LENGTH_CAPS[size]),
         ("max_split", args.max_split, _MAX_SPLIT),
@@ -251,7 +249,7 @@ def _cmd_verify(args) -> int:
         failure_cap=args.failure_cap,
     )
     result = run_suite(args.suite, limits)
-    print(f"suite {result.name}: {suite_description(result.name)}")
+    print(f"suite {result.name}: {suite.description}")
     for message in result.failures:
         print(f"FAIL {message}")
     if result.failure_count > len(result.failures):

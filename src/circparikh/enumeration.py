@@ -14,8 +14,10 @@ import itertools
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .circular import (
     CircularWord,
@@ -31,13 +33,7 @@ from .circular import (
     product_identity_check,
     slender_partition_check,
 )
-from .rewriting import (
-    apply_e1,
-    apply_e2,
-    ce1_condition,
-    ce2_condition,
-    naive_rule_failure_examples,
-)
+from .rewriting import _swaps, apply_e1, apply_e2, naive_rule_failure_examples
 from .words import Alphabet, _parikh_rows, parikh_vector, permutation_identity_check
 
 _AB = Alphabet("ab")
@@ -200,227 +196,186 @@ def _label(word: str) -> str:
     return word if word else "λ"
 
 
-def _suite_binary_closed_form(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 12
-    a, b = _AB.symbols
-    checked = 0
-    for w in _words_up_to(_AB.symbols, nmax):
-        cw = canonicalize(_AB, w)
-        if circular_parikh_matrix(cw) != binary_closed_form(w.count(a), w.count(b)):
-            fail(f"w={_label(w)}: circular matrix differs from closed form")
-        checked += 1
-    return checked
+def _binary_closed_form(alphabet, max_length):
+    a, b = alphabet.symbols
+    for w in _words_up_to(alphabet.symbols, max_length):
+        matrix = circular_parikh_matrix(canonicalize(alphabet, w))
+        ok = matrix == binary_closed_form(w.count(a), w.count(b))
+        yield None if ok else f"w={_label(w)}: circular matrix differs from closed form"
 
 
-def _suite_power(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 8
-    pmax = limits.max_power if limits.max_power is not None else 4
-    checked = 0
-    for alphabet in (_AB, _ABC):
-        for cw in _necklaces_up_to(alphabet, nmax):
-            for p in range(1, pmax + 1):
-                if not circular_power_check(cw, p):
-                    fail(f"{cw} p={p}: matrix of the power differs from the power")
-                checked += 1
-    return checked
+def _power(alphabet, max_length, max_power):
+    for cw in _necklaces_up_to(alphabet, max_length):
+        for p in range(1, max_power + 1):
+            ok = circular_power_check(cw, p)
+            yield None if ok else f"{cw} p={p}: matrix of the power differs from the power"
 
 
-def _suite_inverse_alternate(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 8
-    checked = 0
-    for alphabet in (_AB, _ABC):
-        for cw in _necklaces_up_to(alphabet, nmax):
-            if not circular_inverse_alternate_check(cw):
-                fail(f"{cw}: inverse is not the alternate of the mirrored class")
-            checked += 1
-    return checked
+def _necklace_checks(check, message, alphabet, max_length):
+    """One case per necklace: `check(cw)` holds, or "[w]: `message`"."""
+    for cw in _necklaces_up_to(alphabet, max_length):
+        yield None if check(cw) else f"{cw}: {message}"
 
 
-def _suite_product_identity(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 8
-    checked = 0
-    for alphabet in (_AB, _ABC):
-        for w in _words_up_to(alphabet.symbols, nmax):
-            if not permutation_identity_check(alphabet, w):
-                fail(f"w={_label(w)}: linear permutation-sum identity fails")
-            checked += 1
-        for cw in _necklaces_up_to(alphabet, nmax):
-            if not product_identity_check(cw):
-                fail(f"{cw}: circular permutation-sum identity fails")
-            checked += 1
-    return checked
+def _product_identity(alphabet, max_length):
+    for w in _words_up_to(alphabet.symbols, max_length):
+        ok = permutation_identity_check(alphabet, w)
+        yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
+    yield from _necklace_checks(
+        product_identity_check, "circular permutation-sum identity fails", alphabet, max_length
+    )
 
 
-def _suite_slender_partition(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 8
-    checked = 0
-    for alphabet in (_AB, _ABC):
-        for cw in _necklaces_up_to(alphabet, nmax):
-            if not slender_partition_check(cw):
-                fail(f"{cw}: slender-representative partition identity fails")
-            checked += 1
-    return checked
-
-
-def _suite_ce1_iff(limits, fail):
-    kmax = limits.max_split if limits.max_split is not None else 5
-    a, _, c = _ABC.symbols
-    checked = 0
-    for x, y in _split_pairs(_ABC.symbols, kmax):
-        w = x + a + c + y + c + a
-        w2 = x + c + a + y + a + c
-        lhs, rhs = ce1_condition(_ABC, x, y)
-        condition = lhs == rhs
-        equivalent = m_equivalent(canonicalize(_ABC, w), canonicalize(_ABC, w2))
-        if condition != equivalent:
-            fail(
-                f"x={_label(x)} y={_label(y)}: condition {condition}, "
-                f"equivalence {equivalent}"
-            )
-        checked += 1
-    return checked
-
-
-def _suite_ce2_iff(limits, fail):
-    kmax = limits.max_split if limits.max_split is not None else 5
-    a, b, c = _ABC.symbols
-    checked = 0
-    for x, y in _split_pairs(_ABC.symbols, kmax):
-        for alpha in (a, c):
-            w = x + alpha + b + y + b + alpha
-            w2 = x + b + alpha + y + alpha + b
-            lhs, rhs = ce2_condition(_ABC, x, y, alpha)
+def _ce_iff(rule, alphabet, max_split):
+    """For each swap x·head·y·tail -> x·tail·y·head of `rule`, the side
+    condition holds iff the two circular words are M-equivalent."""
+    swaps = _swaps(alphabet, rule)
+    for x, y in _split_pairs(alphabet.symbols, max_split):
+        for alpha, head, tail, side_condition in swaps:
+            lhs, rhs = side_condition(x, y)
             condition = lhs == rhs
-            equivalent = m_equivalent(canonicalize(_ABC, w), canonicalize(_ABC, w2))
-            if condition != equivalent:
-                fail(
-                    f"x={_label(x)} y={_label(y)} α={alpha}: condition {condition}, "
-                    f"equivalence {equivalent}"
-                )
-            checked += 1
-    return checked
+            w, w2 = x + head + y + tail, x + tail + y + head
+            equivalent = m_equivalent(canonicalize(alphabet, w), canonicalize(alphabet, w2))
+            site = f"x={_label(x)} y={_label(y)}" + ("" if alpha is None else f" α={alpha}")
+            ok = condition == equivalent
+            yield None if ok else f"{site}: condition {condition}, equivalence {equivalent}"
 
 
-def _suite_linear_rules(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 8
-    checked = 0
-    for w in _words_up_to(_ABC.symbols, nmax):
-        rows = _parikh_rows(_ABC, w)
-        for w2 in sorted(apply_e1(_ABC, w) | apply_e2(_ABC, w)):
-            if _parikh_rows(_ABC, w2) != rows:
-                fail(f"{w} -> {w2}: linear Parikh matrix changed")
-            checked += 1
-    return checked
+def _linear_rules(alphabet, max_length):
+    for w in _words_up_to(alphabet.symbols, max_length):
+        rows = _parikh_rows(alphabet, w)
+        for w2 in sorted(apply_e1(alphabet, w) | apply_e2(alphabet, w)):
+            ok = _parikh_rows(alphabet, w2) == rows
+            yield None if ok else f"{w} -> {w2}: linear Parikh matrix changed"
 
 
-def _suite_naive_failures(limits, fail):
+def _naive_failures(alphabet):
+    """The six expected values of the two fixed ternary counterexamples."""
     e1, e2 = naive_rule_failure_examples()
-    expectations = [
-        (e1.left_count == Fraction(1, 3), f"{e1.left} count {e1.left_count} != 1/3"),
-        (e1.right_count == Fraction(2, 3), f"{e1.right} count {e1.right_count} != 2/3"),
-        (not e1.equivalent, f"{e1.left} and {e1.right} unexpectedly M-equivalent"),
-        (e2.left_count == Fraction(2, 5), f"{e2.left} count {e2.left_count} != 2/5"),
-        (e2.right_count == 1, f"{e2.right} count {e2.right_count} != 1"),
-        (not e2.equivalent, f"{e2.left} and {e2.right} unexpectedly M-equivalent"),
-    ]
-    for ok, message in expectations:
-        if not ok:
-            fail(message)
-    return len(expectations)
+    yield None if e1.left_count == Fraction(1, 3) else f"{e1.left} count {e1.left_count} != 1/3"
+    yield None if e1.right_count == Fraction(2, 3) else f"{e1.right} count {e1.right_count} != 2/3"
+    yield None if not e1.equivalent else f"{e1.left} and {e1.right} unexpectedly M-equivalent"
+    yield None if e2.left_count == Fraction(2, 5) else f"{e2.left} count {e2.left_count} != 2/5"
+    yield None if e2.right_count == 1 else f"{e2.right} count {e2.right_count} != 1"
+    yield None if not e2.equivalent else f"{e2.left} and {e2.right} unexpectedly M-equivalent"
 
 
-def _suite_binary_mequiv(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 12
-    checked = 0
-    for n in range(nmax + 1):
-        by_key = _necklace_classes(_AB, n)
-        by_vector = _necklace_classes(_AB, n, lambda cw: parikh_vector(_AB, cw.canonical))
-        if {frozenset(v) for v in by_key.values()} != {frozenset(v) for v in by_vector.values()}:
-            fail(f"n={n}: M-equivalence classes differ from Parikh-vector classes")
-        checked += sum(map(len, by_key.values()))
-    return checked
+def _binary_mequiv(alphabet, max_length):
+    """One case per necklace; a length whose partitions differ fails once."""
+    for n in range(max_length + 1):
+        by_key = _necklace_classes(alphabet, n)
+        by_vector = _necklace_classes(alphabet, n, lambda cw: parikh_vector(alphabet, cw.canonical))
+        ok = {frozenset(v) for v in by_key.values()} == {frozenset(v) for v in by_vector.values()}
+        yield from itertools.repeat(None, sum(map(len, by_key.values())) - 1)
+        yield None if ok else f"n={n}: M-equivalence classes differ from Parikh-vector classes"
 
 
-def _suite_distinct_count(limits, fail):
-    nmax = limits.max_length if limits.max_length is not None else 12
-    checked = 0
-    for n in range(nmax + 1):
-        count = len(_necklace_classes(_AB, n))
-        if count != n + 1:
-            fail(f"n={n}: {count} distinct matrices, expected {n + 1}")
-        checked += 1
-    return checked
+def _distinct_count(alphabet, max_length):
+    for n in range(max_length + 1):
+        count = len(_necklace_classes(alphabet, n))
+        yield None if count == n + 1 else f"n={n}: {count} distinct matrices, expected {n + 1}"
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A verification suite: what it checks, the alphabets it enumerates in
+    turn (the largest sets the CLI length cap), its default bounds, and
+    `cases(alphabet, **bounds)`, which yields None for each case that
+    holds and a failure message for each that does not."""
+
+    description: str
+    alphabets: tuple
+    defaults: dict
+    cases: Callable
 
 
 _SUITES = {
-    "binary-closed-form": (
-        _suite_binary_closed_form,
+    "binary-closed-form": _Suite(
         "circular matrix of every binary word equals the letter-count closed form",
+        (_AB,), {"max_length": 12}, _binary_closed_form,
     ),
-    "power": (_suite_power, "matrix of [w^p] equals the p-th matrix power, |Σ| <= 3"),
-    "inverse-alternate": (
-        _suite_inverse_alternate,
+    "power": _Suite(
+        "matrix of [w^p] equals the p-th matrix power, |Σ| <= 3",
+        (_AB, _ABC), {"max_length": 8, "max_power": 4}, _power,
+    ),
+    "inverse-alternate": _Suite(
         "matrix inverse equals the alternate matrix of the mirrored class, |Σ| <= 3",
+        (_AB, _ABC), {"max_length": 8},
+        partial(
+            _necklace_checks,
+            circular_inverse_alternate_check,
+            "inverse is not the alternate of the mirrored class",
+        ),
     ),
-    "product-identity": (
-        _suite_product_identity,
+    "product-identity": _Suite(
         "permutation-sum equals letter-count product, linear and circular",
+        (_AB, _ABC), {"max_length": 8}, _product_identity,
     ),
-    "slender-partition": (
-        _suite_slender_partition,
+    "slender-partition": _Suite(
         "direct counts over slender representatives sum to the letter-count product",
+        (_AB, _ABC), {"max_length": 8},
+        partial(
+            _necklace_checks,
+            slender_partition_check,
+            "slender-representative partition identity fails",
+        ),
     ),
-    "ce1-iff": (_suite_ce1_iff, "CE1 side condition holds iff the swap is M-equivalent"),
-    "ce2-iff": (_suite_ce2_iff, "CE2 side condition holds iff the swap is M-equivalent"),
-    "linear-rules": (
-        _suite_linear_rules,
+    "ce1-iff": _Suite(
+        "CE1 side condition holds iff the swap is M-equivalent",
+        (_ABC,), {"max_split": 5}, partial(_ce_iff, "CE1"),
+    ),
+    "ce2-iff": _Suite(
+        "CE2 side condition holds iff the swap is M-equivalent",
+        (_ABC,), {"max_split": 5}, partial(_ce_iff, "CE2"),
+    ),
+    "linear-rules": _Suite(
         "E1/E2 rewrites preserve the linear Parikh matrix",
+        (_ABC,), {"max_length": 8}, _linear_rules,
     ),
-    "naive-failures": (
-        _suite_naive_failures,
+    "naive-failures": _Suite(
         "linear rules applied circularly break M-equivalence on the known pairs",
+        (_ABC,), {}, _naive_failures,
     ),
-    "binary-mequiv": (
-        _suite_binary_mequiv,
+    "binary-mequiv": _Suite(
         "binary M-equivalence classes coincide with Parikh-vector classes",
+        (_AB,), {"max_length": 12}, _binary_mequiv,
     ),
-    "distinct-count": (
-        _suite_distinct_count,
+    "distinct-count": _Suite(
         "binary circular words of length n form exactly n+1 matrix classes",
+        (_AB,), {"max_length": 12}, _distinct_count,
     ),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _suite(name: str) -> _Suite:
+    """The registry entry of `name`; a ValueError naming the known suites."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}")
+    return _SUITES[name]
+
+
 def run_suite(name: str, limits: SuiteLimits | None = None) -> SuiteResult:
     """Run one exhaustive verification suite and collect its witnesses."""
-    if name not in _SUITES:
-        known = ", ".join(SUITE_NAMES)
-        raise ValueError(f"unknown suite {name!r}; known suites: {known}")
+    suite = _suite(name)
     if limits is None:
         limits = SuiteLimits()
     for field, least in (("max_length", 0), ("max_split", 0), ("max_power", 1), ("failure_cap", 0)):
         value = getattr(limits, field)
         if value is not None and value < least:
             raise ValueError(f"{field} must be at least {least}, got {value}")
-    failures = []
-    failure_count = 0
-
-    def fail(message: str) -> None:
-        nonlocal failure_count
-        failure_count += 1
-        if len(failures) < limits.failure_cap:
-            failures.append(message)
-
+    bounds = {
+        field: default if getattr(limits, field) is None else getattr(limits, field)
+        for field, default in suite.defaults.items()
+    }
     start = time.perf_counter()
-    checked = _SUITES[name][0](limits, fail)
+    outcomes = [m for alphabet in suite.alphabets for m in suite.cases(alphabet, **bounds)]
     elapsed = time.perf_counter() - start
-    return SuiteResult(name, checked, tuple(failures), failure_count, elapsed)
-
-
-def suite_description(name: str) -> str:
-    return _SUITES[name][1]
+    failures = [message for message in outcomes if message is not None]
+    return SuiteResult(
+        name, len(outcomes), tuple(failures[: limits.failure_cap]), len(failures), elapsed
+    )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .circular import CircularWord, avg_count, canonicalize, m_equivalent
 from .words import Alphabet, parikh_vector
@@ -62,8 +63,7 @@ def apply_e1(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one ac <-> ca factor swap."""
     _require_ternary(alphabet)
     alphabet.validate(word)
-    a, _, c = alphabet.symbols
-    ac, ca = a + c, c + a
+    _, ac, ca, _ = _swaps(alphabet, "CE1")[0]
     out = set()
     for i in range(len(word) - 1):
         pair = word[i : i + 2]
@@ -79,12 +79,11 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
     y restricted to {α, b}."""
     _require_ternary(alphabet)
     alphabet.validate(word)
-    a, b, c = alphabet.symbols
+    b = alphabet.symbols[1]
     n = len(word)
     out = set()
-    for alpha in (a, c):
+    for alpha, head, tail, _ in _swaps(alphabet, "CE2"):
         allowed = {alpha, b}
-        head, tail = alpha + b, b + alpha
         for i in range(n - 3):
             first = word[i : i + 2]
             if first != head and first != tail:
@@ -121,33 +120,40 @@ def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     )
 
 
+def _swaps(alphabet: Alphabet, rule: str) -> tuple:
+    """The swaps x·head·y·tail -> x·tail·y·head of `rule` as (α, head, tail,
+    condition), where condition(x, y) gives both sides of the side condition:
+    one swap for CE1 (α None), one per α in {a, c} for CE2.  E1 and E2 swap
+    the same factors."""
+    a, b, c = alphabet.symbols
+    if rule == "CE1":
+        return ((None, a + c, c + a, partial(ce1_condition, alphabet)),)
+    return tuple(
+        (alpha, alpha + b, b + alpha, partial(ce2_condition, alphabet, alpha=alpha))
+        for alpha in (a, c)
+    )
+
+
 def _find_sites(cw: CircularWord, rule: str) -> list:
     """Every site of `rule` in [w]: each rotation r of the canonical word
-    that factors as x·head·y·tail for one of the rule's (α, head, tail)
-    swaps, with its side condition; ordered by r, then α, then |x|."""
+    that factors as x·head·y·tail for one of the rule's `_swaps`, with its
+    side condition; ordered by r, then α, then |x|."""
     _require_ternary(cw.alphabet)
-    a, b, c = cw.alphabet.symbols
-    if rule == "CE1":
-        swaps = ((None, a + c, c + a),)
-    else:
-        swaps = ((a, a + b, b + a), (c, c + b, b + c))
+    swaps = _swaps(cw.alphabet, rule)
     w = cw.canonical
     n = len(w)
     doubled = w + w
     apps = []
     for r in range(n):
         rot = doubled[r : r + n]
-        for alpha, head, tail in swaps:
+        for alpha, head, tail, condition in swaps:
             if rot[-2:] != tail:
                 continue
             for i in range(n - 3):
                 if rot[i : i + 2] != head:
                     continue
                 x, y = rot[:i], rot[i + 2 : n - 2]
-                if alpha is None:
-                    lhs, rhs = ce1_condition(cw.alphabet, x, y)
-                else:
-                    lhs, rhs = ce2_condition(cw.alphabet, x, y, alpha)
+                lhs, rhs = condition(x, y)
                 result = canonicalize(cw.alphabet, x + tail + y + head)
                 apps.append(RuleApplication(rule, r, i, len(y), alpha, lhs, rhs, result))
     return apps
