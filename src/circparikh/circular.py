@@ -116,27 +116,42 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
     return sum(_count(w, u) for u in conjugacy_class(pattern))
 
 
-def _rotation_sums(word: str, pattern: str) -> list:
+def _rotation_sums(word: str, pattern: str, shifts: int | None = None) -> list:
     """Integer rows whose (i, j) entry sums the count of pattern[i:j] over
-    the |word| cyclic shifts of `word` (the identity for λ), in O(n m^2):
-    the generalized Parikh matrix M_v is a morphism, so rotating the front
-    letter x to the back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+    the first `shifts` cyclic shifts of `word` (all |word| of them by
+    default; the identity for λ): the generalized Parikh matrix M_v is a
+    morphism, so rotating the front letter x to the back is the conjugation
+    M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+
+    A rotation changes only row k and column k+1 at each pattern position k
+    of x, so it costs O(m) per position, and O(n m) for the alphabet ladder.
+    The sums are accumulated lazily: an entry that ends at e after changing
+    by d_s at each rotation step s sums to shifts * e - (the sum of d_s * s),
+    so a change records d_s * s alone and no step adds up the matrix.
     """
-    m, n = len(pattern), len(word)
+    m = len(pattern)
     positions = {x: [k for k in range(m - 1, -1, -1) if pattern[k] == x] for x in set(pattern)}
     rows = [[int(i == j) for j in range(m + 1)] for i in range(m + 1)]
-    total = [[0] * (m + 1) for _ in rows]
-    # Steps < n build M_v(word), later steps rotate.  Row and column operations
-    # commute, so they may interleave; both visit the positions descending.
-    for step, ch in enumerate(word + word[:-1]):
+    for ch in word:  # build M_v(word): rows <- rows M(x)
         for k in positions.get(ch, ()):
-            if step >= n:  # rows <- M(x)^-1 rows
-                rows[k] = [r - s for r, s in zip(rows[k], rows[k + 1])]
-            for row in rows[: k + 1]:  # rows <- rows M(x)
+            for row in rows[: k + 1]:
                 row[k + 1] += row[k]
-        if step >= n - 1:
-            total = [[t + r for t, r in zip(trow, row)] for trow, row in zip(total, rows)]
-    return total if word else rows
+    if not word:
+        return rows
+    shifts = len(word) if shifts is None else shifts
+    correction = [[0] * (m + 1) for _ in rows]
+    # Step s rotates word[s - 1] to the back.  Row and column operations
+    # commute, so they may interleave; both visit the positions descending.
+    for step in range(1, shifts):
+        for k in positions.get(word[step - 1], ()):
+            upper, lower, fix = rows[k], rows[k + 1], correction[k]
+            for j in range(k + 1, m + 1):  # rows <- M(x)^-1 rows
+                upper[j] -= lower[j]
+                fix[j] += lower[j] * step
+            for row, crow in zip(rows[: k + 1], correction):  # rows <- rows M(x)
+                row[k + 1] += row[k]
+                crow[k + 1] -= row[k] * step
+    return [[shifts * e + c for e, c in zip(row, crow)] for row, crow in zip(rows, correction)]
 
 
 def avg_count(cw: CircularWord, pattern: str) -> Fraction:
@@ -227,16 +242,18 @@ def circular_power_check(cw: CircularWord, p: int) -> bool:
 
 def _power_holds(cw: CircularWord, p: int) -> bool:
     """M_p = M^p iff n^p T_p = L_p T^p, with T the ladder sums of [w] over
-    n = max(|w|, 1) and T_p those of [w^p] over L_p = max(p |w|, 1)."""
+    n = max(|w|, 1) and T_p those of [w^p] over L_p = max(p |w|, 1).
+
+    Since rot_{k+|w|}(w^p) = rot_k(w^p), T_p = p S with S the sums over the
+    first |w| shifts of w^p, so the test is n^(p-1) S = T^p; for λ, S = T = I.
+    """
     sums = _ladder_sums(cw)
     power = sums
     for _ in range(p - 1):
         power = _tri_mul(power, sums)
-    powered = _ladder_sums(canonicalize(cw.alphabet, cw.canonical * p))
-    n_to_p, l_p = max(cw.length, 1) ** p, max(p * cw.length, 1)
-    return all(
-        n_to_p * e_p == l_p * e for row_p, row in zip(powered, power) for e_p, e in zip(row_p, row)
-    )
+    shifted = _rotation_sums(cw.canonical * p, "".join(cw.alphabet.symbols), cw.length)
+    scale = max(cw.length, 1) ** (p - 1)
+    return all(scale * e_s == e for row_s, row in zip(shifted, power) for e_s, e in zip(row_s, row))
 
 
 def weak_ratio(alphabet: Alphabet, u: str, v: str) -> bool:

@@ -357,7 +357,8 @@ def _suite(name: str) -> _Suite:
 
 
 def run_suite(name: str, limits: SuiteLimits | None = None) -> SuiteResult:
-    """Run one exhaustive verification suite and collect its witnesses."""
+    """Run one exhaustive verification suite and collect its witnesses; a
+    ValueError for a bound out of range or one under which it checks no case."""
     suite = _suite(name)
     if limits is None:
         limits = SuiteLimits()
@@ -372,6 +373,9 @@ def run_suite(name: str, limits: SuiteLimits | None = None) -> SuiteResult:
     start = time.perf_counter()
     outcomes = [m for alphabet in suite.alphabets for m in suite.cases(alphabet, **bounds)]
     elapsed = time.perf_counter() - start
+    if not outcomes:
+        shown = ", ".join(f"{field}={value}" for field, value in bounds.items())
+        raise ValueError(f"suite {name} checks no case at {shown}")
     failures = [message for message in outcomes if message is not None]
     return SuiteResult(
         name, len(outcomes), tuple(failures[: limits.failure_cap]), len(failures), elapsed

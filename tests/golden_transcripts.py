@@ -69,6 +69,7 @@ CASES = (
             ("power", "--max-length", "13"),
             ("ce2-iff", "--max-split", "9"),
             ("power", "--max-power", "17"),
+            ("linear-rules", "--max-length", "1"),
         )
     ),
     Case("failing-power", ("verify", "--suite", "power"), _POWER_FAILS_AT_2),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,13 @@ class TestVerify:
         assert code == 64 and out == ""
         assert flag[2:].replace("-", "_") in err and cap in err
 
+    @pytest.mark.parametrize("length", ["0", "1"])
+    def test_bound_under_which_the_suite_checks_no_case_is_usage_error(self, capsys, length):
+        # No word shorter than 2 has an E1/E2 rewrite.
+        code, out, err = run(capsys, "verify", "--suite", "linear-rules", "--max-length", length)
+        assert (code, out) == (64, "")
+        assert err == f"circparikh: error: suite linear-rules checks no case at max_length={length}\n"
+
     def test_bounds_at_caps_are_accepted(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "naive-failures",
@@ -283,3 +294,17 @@ class TestUsage:
     def test_bad_flag(self, capsys):
         code, _, err = run(capsys, "count", "--mode", "sideways", "ab", "a")
         assert code == 64
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "circparikh", "count", "-a", "a,b,c", "--mode", "average"]
+    proc = subprocess.run(
+        [*argv, "[abcabc]", "ab"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7/3\n", "")
+    proc = subprocess.run(
+        [*argv, "[abcabc]", "ax"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+    )
+    assert proc.returncode == 64 and "'x'" in proc.stderr

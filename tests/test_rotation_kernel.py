@@ -24,10 +24,12 @@ def shifts(word):
     return [word[i:] + word[:i] for i in range(len(word))] or [""]
 
 
-def count_oracle(word, pattern):
+def count_oracle(word, pattern, first=None):
+    """Per-shift sums over the first `first` shifts (all of them by default)."""
     m = len(pattern)
+    members = shifts(word)[:first]
     return [
-        [sum(_count(u, pattern[i:j]) for u in shifts(word)) if i <= j else 0 for j in range(m + 1)]
+        [sum(_count(u, pattern[i:j]) for u in members) if i <= j else 0 for j in range(m + 1)]
         for i in range(m + 1)
     ]
 
@@ -60,6 +62,31 @@ def word_and_pattern(draw):
 def test_kernel_matches_per_shift_counts(case):
     _, word, pattern = case
     assert _rotation_sums(word, pattern) == count_oracle(word, pattern)
+
+
+@SETTINGS
+@hypothesis.given(word_and_pattern(), st.data())
+def test_shift_count_sums_the_first_shifts(case, data):
+    _, word, pattern = case
+    hypothesis.assume(word)
+    first = data.draw(st.integers(0, len(word)), label="shifts")
+    assert _rotation_sums(word, pattern, first) == count_oracle(word, pattern, first)
+
+
+@st.composite
+def power_and_pattern(draw):
+    symbols = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    root = draw(st.text(alphabet=symbols, min_size=1, max_size=12))
+    return root, draw(st.integers(1, 5)), draw(st.text(alphabet=symbols, max_size=6))
+
+
+@SETTINGS
+@hypothesis.given(power_and_pattern())
+def test_one_period_of_a_power_is_a_pth_of_its_sums(case):
+    # rot_{k+|u|}(u^p) = rot_k(u^p): the |u| p shifts repeat the first |u| p times.
+    root, p, pattern = case
+    period = _rotation_sums(root * p, pattern, len(root))
+    assert [[p * e for e in row] for row in period] == count_oracle(root * p, pattern)
 
 
 @SETTINGS
