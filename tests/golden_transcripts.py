@@ -1,5 +1,5 @@
-"""Golden `verify` transcripts: the cases, how one is recorded, and a
-script that writes them all to `tests/golden/`.
+"""Golden CLI transcripts of `verify` and `rules`: the cases, how one is
+recorded, and a script that writes them all to `tests/golden/`.
 
 A case runs `circparikh.cli.main(argv)` in process, optionally with one
 package function swapped for a failing stand-in, and records stdout,
@@ -79,6 +79,25 @@ CASES = (
         _POWER_FAILS_AT_2,
     ),
     Case("failing-ce2-iff", ("verify", "--suite", "ce2-iff"), _LADDER_SUMS_ARE_WORDS),
+    # abbcaaacbaca has valid and invalid sites of both rules.
+    *(
+        Case(f"rules-{rule}-{word}", ("rules", "--rule", rule, word))
+        for word in ("abacca", "cbabbcba", "abbcaaacbaca")
+        for rule in ("CE1", "CE2", "both")
+    ),
+    Case("rules-no-applications", ("rules", "aaaacbbc")),
+    *(
+        Case(f"rules-closure-{word}", ("rules", "--closure", word))
+        for word in ("abacca", "cbabbcba", "aaabbbb")
+    ),
+    Case("rules-closure-max-steps=3", ("rules", "--closure", "--max-steps", "3", "aaaabbbbb")),
+    Case("rules-closure-dot-summary", ("rules", "--closure", "--dot", "/dev/null", "aaaabbbbb")),
+    Case("usage-rules-binary-alphabet", ("rules", "-a", "a,b", "abab")),
+    Case(
+        "usage-rules-unwritable-dot",
+        ("rules", "--closure", "--dot", "missing-directory/closure.dot", "abacca"),
+    ),
+    Case("usage-rules-closure-max-steps=0", ("rules", "--closure", "--max-steps", "0", "abacca")),
 )
 
 
