@@ -173,6 +173,10 @@ def _cmd_rules(args) -> int:
         raise _UsageError(f"rules require a ternary alphabet, got {alphabet}")
     word, _ = _strip_brackets(args.word)
     cw = canonicalize(alphabet, word)
+    if args.max_steps < 1:
+        raise _UsageError(f"max_steps must be at least 1, got {args.max_steps}")
+    if args.dot and not args.closure:
+        raise _UsageError("--dot requires --closure")
     rules = ("CE1", "CE2") if args.rule == "both" else (args.rule,)
     if args.closure:
         graph = rewrite_closure(cw, rules=rules, max_steps=args.max_steps)

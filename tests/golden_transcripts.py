@@ -98,6 +98,8 @@ CASES = (
         ("rules", "--closure", "--dot", "missing-directory/closure.dot", "abacca"),
     ),
     Case("usage-rules-closure-max-steps=0", ("rules", "--closure", "--max-steps", "0", "abacca")),
+    Case("usage-rules-max-steps=-5", ("rules", "--max-steps", "-5", "abacca")),
+    Case("usage-rules-dot-without-closure", ("rules", "--dot", "closure.dot", "abacca")),
 )
 
 

@@ -263,6 +263,18 @@ class TestRulesClosureBudget:
         code, out, err = run(capsys, "rules", "--closure", "--max-steps", steps, "abacca")
         assert code == 64 and out == "" and "max_steps" in err
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_non_positive_budget_is_usage_error_without_closure(self, capsys, steps):
+        code, out, err = run(capsys, "rules", "--max-steps", steps, "abacca")
+        assert code == 64 and out == ""
+        assert err == f"circparikh: error: max_steps must be at least 1, got {steps}\n"
+
+    def test_dot_without_closure_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.dot"
+        code, out, err = run(capsys, "rules", "--dot", str(path), "abacca")
+        assert code == 64 and out == "" and "--closure" in err
+        assert not path.exists()
+
 
 class TestSearchMinor:
     def test_binary_none_found(self, capsys):
