@@ -134,40 +134,46 @@ def _swaps(alphabet: Alphabet, rule: str) -> tuple:
     )
 
 
-def _find_sites(cw: CircularWord, rule: str) -> list:
-    """Every site of `rule` in [w]: each rotation r of the canonical word
-    that factors as x·head·y·tail for one of the rule's `_swaps`, with its
-    side condition; ordered by r, then α, then |x|."""
+def _sites(cw: CircularWord, rule: str):
+    """Every site of `rule` in [w] as ((r, |x|, |y|, α, lhs, rhs), result):
+    each rotation r of the canonical word that factors as x·head·y·tail for
+    one of the rule's `_swaps`, both sides of its side condition, and the
+    linear word x·tail·y·head; ordered by r, then α, then |x|."""
     _require_ternary(cw.alphabet)
     swaps = _swaps(cw.alphabet, rule)
     w = cw.canonical
     n = len(w)
     doubled = w + w
-    apps = []
     for r in range(n):
         rot = doubled[r : r + n]
         for alpha, head, tail, condition in swaps:
             if rot[-2:] != tail:
                 continue
-            for i in range(n - 3):
-                if rot[i : i + 2] != head:
-                    continue
+            i = rot.find(head, 0, n - 2)
+            while i != -1:
                 x, y = rot[:i], rot[i + 2 : n - 2]
                 lhs, rhs = condition(x, y)
-                result = canonicalize(cw.alphabet, x + tail + y + head)
-                apps.append(RuleApplication(rule, r, i, len(y), alpha, lhs, rhs, result))
-    return apps
+                yield (r, i, len(y), alpha, lhs, rhs), x + tail + y + head
+                i = rot.find(head, i + 1, n - 2)
+
+
+def _applications(cw: CircularWord, rule: str) -> list:
+    """Every site of `rule` in [w] with its canonicalized result."""
+    return [
+        RuleApplication(rule, *site, canonicalize(cw.alphabet, result))
+        for site, result in _sites(cw, rule)
+    ]
 
 
 def find_ce1(cw: CircularWord) -> list:
     """Every CE1 site of [w]: each rotation that factors as x·ac·y·ca."""
-    return _find_sites(cw, "CE1")
+    return _applications(cw, "CE1")
 
 
 def find_ce2(cw: CircularWord) -> list:
     """Every CE2 site of [w]: each rotation that factors as x·αb·y·bα
     (α in {a, c}, y arbitrary)."""
-    return _find_sites(cw, "CE2")
+    return _applications(cw, "CE2")
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,12 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     Every node is canonical and all nodes are pairwise M-equivalent.  The
     closure is finite (length and letter counts are preserved); max_steps
     caps the number of nodes as a guard and must be at least 1.
+
+    Each admitted node registers its rotations in one dict, so a valid site
+    finds its target by one lookup of its linear result, and only a result
+    of a new class is canonicalized: one `canonicalize` per node, none for
+    an invalid site or one over the budget.  (Listings by `find_ce1` and
+    `find_ce2` still canonicalize every site, since they print each result.)
     """
     _require_ternary(cw.alphabet)
     if max_steps < 1:
@@ -253,29 +265,39 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     for rule in rules:
         if rule not in ("CE1", "CE2"):
             raise ValueError(f"unknown rule {rule!r}; circular rules are CE1, CE2")
-    nodes = {cw.canonical: cw}
-    order = [cw]
+    rotations = {}  # every rotation of every admitted node -> that node
+    order = []
+    queue = deque()
+
+    def admit(node):
+        w = node.canonical
+        for r in range(len(node.period)):
+            rotations[w[r:] + w[:r]] = node
+        order.append(node)
+        queue.append(node)
+
+    admit(cw)
     edges = []
     seen_edges = set()
     complete = True
-    queue = deque([cw])
     while queue:
         source = queue.popleft()
         for rule in rules:
-            for app in _find_sites(source, rule):
-                if not app.valid:
+            for site, result in _sites(source, rule):
+                lhs, rhs = site[-2:]
+                if lhs != rhs:
                     continue
-                target = app.result
-                if target.canonical not in nodes:
-                    if len(nodes) >= max_steps:
+                target = rotations.get(result)
+                if target is None:
+                    if len(order) >= max_steps:
                         complete = False
                         continue
-                    nodes[target.canonical] = target
-                    order.append(target)
-                    queue.append(target)
+                    target = canonicalize(cw.alphabet, result)
+                    admit(target)
                 edge_key = (source.canonical, target.canonical, rule)
                 if edge_key not in seen_edges:
                     seen_edges.add(edge_key)
+                    app = RuleApplication(rule, *site, target)
                     edges.append(RewriteEdge(source, target, app))
     return RewriteGraph(tuple(order), tuple(edges), complete)
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from circparikh import (
     parikh_vector_sufficiency,
     rewrite_closure,
 )
-from circparikh.rewriting import ce2_condition
+from circparikh import rewriting
+from circparikh.rewriting import RewriteEdge, RewriteGraph, RuleApplication, _swaps, ce2_condition
 
 ABC = Alphabet("abc")
 AB = Alphabet("ab")
@@ -285,6 +287,129 @@ class TestClosure:
         ce2_graph = rewrite_closure(canonicalize(ABC, "cbabbcba"))
         assert "CE2@r=" in ce2_graph.to_dot()
         assert "α=" in ce2_graph.to_dot()
+
+
+def sites_oracle(cw, rule):
+    """Every site of `rule` by slicing each rotation at every i, each
+    result canonicalized: the site scan the closure used to run."""
+    w = cw.canonical
+    n = len(w)
+    apps = []
+    for r in range(n):
+        rot = (w + w)[r : r + n]
+        for alpha, head, tail, condition in _swaps(cw.alphabet, rule):
+            if rot[-2:] != tail:
+                continue
+            for i in range(n - 3):
+                if rot[i : i + 2] != head:
+                    continue
+                x, y = rot[:i], rot[i + 2 : n - 2]
+                lhs, rhs = condition(x, y)
+                result = canonicalize(cw.alphabet, x + tail + y + head)
+                apps.append(RuleApplication(rule, r, i, len(y), alpha, lhs, rhs, result))
+    return apps
+
+
+def closure_oracle(cw, rules=("CE1", "CE2"), max_steps=100000):
+    """The breadth-first closure that canonicalizes the result of every
+    site and drops the invalid ones afterwards."""
+    nodes = {cw.canonical: cw}
+    order, edges, seen_edges = [cw], [], set()
+    complete = True
+    queue = deque([cw])
+    while queue:
+        source = queue.popleft()
+        for rule in rules:
+            for app in sites_oracle(source, rule):
+                if not app.valid:
+                    continue
+                target = app.result
+                if target.canonical not in nodes:
+                    if len(nodes) >= max_steps:
+                        complete = False
+                        continue
+                    nodes[target.canonical] = target
+                    order.append(target)
+                    queue.append(target)
+                edge_key = (source.canonical, target.canonical, rule)
+                if edge_key not in seen_edges:
+                    seen_edges.add(edge_key)
+                    edges.append(RewriteEdge(source, target, app))
+    return RewriteGraph(tuple(order), tuple(edges), complete)
+
+
+def ternary_necklaces(max_n):
+    return [cw for n in range(max_n + 1) for cw in enumerate_necklaces(ABC, n)]
+
+
+class TestClosureAgainstOracle:
+    def test_listings_match_oracle(self):
+        for cw in ternary_necklaces(9):
+            assert find_ce1(cw) == sites_oracle(cw, "CE1"), cw
+            assert find_ce2(cw) == sites_oracle(cw, "CE2"), cw
+
+    @pytest.mark.parametrize("rules", [("CE1", "CE2"), ("CE1",), ("CE2",)])
+    def test_every_necklace_up_to_9(self, rules):
+        # Graph equality compares the nodes in order, each edge's source,
+        # target and full RuleApplication, and `complete`.
+        edges = truncated = 0
+        for cw in ternary_necklaces(9):
+            full = closure_oracle(cw, rules)
+            assert rewrite_closure(cw, rules) == full, cw
+            half = max(1, len(full.nodes) // 2)
+            graph = rewrite_closure(cw, rules, max_steps=half)
+            assert graph == closure_oracle(cw, rules, max_steps=half), (cw, half)
+            edges += len(full.edges)
+            truncated += not graph.complete
+        assert edges > 0 and truncated > 0
+
+    def test_random_words(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.sampled_from(["ab", "abc"]).flatmap(lambda s: st.text(s, max_size=13)),
+            st.sampled_from([("CE1", "CE2"), ("CE1",), ("CE2",), ("CE2", "CE1")]),
+            st.integers(1, 40),
+        )
+        def check(word, rules, max_steps):
+            cw = canonicalize(ABC, word)
+            assert rewrite_closure(cw, rules) == closure_oracle(cw, rules)
+            graph = rewrite_closure(cw, rules, max_steps=max_steps)
+            assert graph == closure_oracle(cw, rules, max_steps=max_steps)
+
+        check()
+
+    # abababab and aabbaabb are periodic and lie in their own closures.
+    @pytest.mark.parametrize("word", ["aaaabbbbb", "abbcaaacbaca", "abababab", "aabbaabb"])
+    def test_one_canonicalize_per_new_node(self, monkeypatch, word):
+        calls = []
+
+        def spy(alphabet, text):
+            calls.append(text)
+            return canonicalize(alphabet, text)
+
+        monkeypatch.setattr(rewriting, "canonicalize", spy)
+        cw = canonicalize(ABC, word)
+        graph = rewrite_closure(cw)
+        assert graph.nodes == closure_oracle(cw).nodes
+        assert graph.complete and len(calls) == len(graph.nodes) - 1
+        calls.clear()
+        graph = rewrite_closure(cw, max_steps=1)
+        assert calls == [] and graph.nodes == (cw,)
+
+    def test_budget_rejected_targets_are_not_canonicalized(self, monkeypatch):
+        calls = []
+
+        def spy(alphabet, text):
+            calls.append(text)
+            return canonicalize(alphabet, text)
+
+        monkeypatch.setattr(rewriting, "canonicalize", spy)
+        graph = rewrite_closure(canonicalize(ABC, "aaaabbbbb"), max_steps=3)
+        assert not graph.complete
+        assert [canonicalize(ABC, text) for text in calls] == list(graph.nodes[1:])
 
 
 class TestParikhVectorSufficiency:
