@@ -381,9 +381,9 @@ class TestClosureAgainstOracle:
 
         check()
 
-    # abababab and aabbaabb are periodic and lie in their own closures.
-    @pytest.mark.parametrize("word", ["aaaabbbbb", "abbcaaacbaca", "abababab", "aabbaabb"])
-    def test_one_canonicalize_per_new_node(self, monkeypatch, word):
+    @pytest.fixture
+    def canonicalized(self, monkeypatch):
+        """The words `rewriting` passes to `canonicalize`, in call order."""
         calls = []
 
         def spy(alphabet, text):
@@ -391,25 +391,23 @@ class TestClosureAgainstOracle:
             return canonicalize(alphabet, text)
 
         monkeypatch.setattr(rewriting, "canonicalize", spy)
+        return calls
+
+    # abababab and aabbaabb are periodic and lie in their own closures.
+    @pytest.mark.parametrize("word", ["aaaabbbbb", "abbcaaacbaca", "abababab", "aabbaabb"])
+    def test_one_canonicalize_per_new_node(self, canonicalized, word):
         cw = canonicalize(ABC, word)
         graph = rewrite_closure(cw)
         assert graph.nodes == closure_oracle(cw).nodes
-        assert graph.complete and len(calls) == len(graph.nodes) - 1
-        calls.clear()
+        assert graph.complete and len(canonicalized) == len(graph.nodes) - 1
+        canonicalized.clear()
         graph = rewrite_closure(cw, max_steps=1)
-        assert calls == [] and graph.nodes == (cw,)
+        assert canonicalized == [] and graph.nodes == (cw,)
 
-    def test_budget_rejected_targets_are_not_canonicalized(self, monkeypatch):
-        calls = []
-
-        def spy(alphabet, text):
-            calls.append(text)
-            return canonicalize(alphabet, text)
-
-        monkeypatch.setattr(rewriting, "canonicalize", spy)
+    def test_budget_rejected_targets_are_not_canonicalized(self, canonicalized):
         graph = rewrite_closure(canonicalize(ABC, "aaaabbbbb"), max_steps=3)
         assert not graph.complete
-        assert [canonicalize(ABC, text) for text in calls] == list(graph.nodes[1:])
+        assert [canonicalize(ABC, text) for text in canonicalized] == list(graph.nodes[1:])
 
 
 class TestParikhVectorSufficiency:
