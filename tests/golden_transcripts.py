@@ -1,4 +1,4 @@
-"""Golden CLI transcripts of `verify` and `rules`: the cases, how one is
+"""Golden CLI transcripts of the `circparikh` commands: the cases, how one is
 recorded, and a script that writes them all to `tests/golden/`.
 
 A case runs `circparikh.cli.main(argv)` in process, optionally with one
@@ -100,6 +100,28 @@ CASES = (
     Case("usage-rules-closure-max-steps=0", ("rules", "--closure", "--max-steps", "0", "abacca")),
     Case("usage-rules-max-steps=-5", ("rules", "--max-steps", "-5", "abacca")),
     Case("usage-rules-dot-without-closure", ("rules", "--dot", "closure.dot", "abacca")),
+    # The README CLI examples of count, matrix --circular and mequiv.
+    Case("count-direct-cabacb", ("count", "-a", "a,b,c", "--mode", "direct", "[cabacb]", "abc")),
+    Case("count-average-abcabc", ("count", "-a", "a,b,c", "--mode", "average", "[abcabc]", "ab")),
+    Case("count-linear-bcbcc", ("count", "-a", "a,b,c", "--mode", "linear", "bcbcc", "bc")),
+    Case("matrix-circular-cabacb", ("matrix", "-a", "a,b,c", "--circular", "cabacb")),
+    Case("mequiv-abab-bbaa", ("mequiv", "abab", "bbaa")),
+    Case("mequiv-acb-cab", ("mequiv", "acb", "cab")),
+    *(
+        Case(
+            f"classes-{spec.replace(',', '')}-{fmt}",
+            ("classes", "-a", spec, "--length", "4", "--format", fmt),
+        )
+        for spec in ("a,b", "a,b,c", "c,a,b")
+        for fmt in ("text", "json", "csv")
+    ),
+    # A foreign symbol exits 64 naming the first one in word order.
+    Case("usage-count-foreign-word", ("count", "[abzcy]", "ab")),
+    Case("usage-count-foreign-subword", ("count", "--mode", "direct", "[abc]", "ad")),
+    Case("usage-count-linear-foreign", ("count", "--mode", "linear", "abx", "a")),
+    Case("usage-matrix-circular-foreign", ("matrix", "--circular", "abzcy")),
+    Case("usage-matrix-foreign", ("matrix", "-a", "a,b", "abc")),
+    Case("usage-mequiv-foreign", ("mequiv", "abc", "aqc")),
 )
 
 

@@ -1,4 +1,4 @@
-"""Byte-identity of the `verify` and `rules` transcripts: every case of
+"""Byte-identity of the CLI transcripts: every case of
 `golden_transcripts.CASES` must reproduce its committed file exactly."""
 
 import pytest
