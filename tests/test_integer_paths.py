@@ -28,8 +28,6 @@ from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-
 
 def necklace_oracle(alphabet, n):
     out = []
@@ -126,7 +124,6 @@ def matrix_pairs(draw):
     return one(), one()
 
 
-@SETTINGS
 @hypothesis.given(matrix_pairs(), st.integers(0, 6))
 def test_integer_algebra_matches_fraction_oracle(pair, p):
     a, b = pair
@@ -142,7 +139,6 @@ def nonnegative_upper(draw):
     return [[draw(st.integers(0, 9)) if j >= i else 0 for j in range(d)] for i in range(d)]
 
 
-@SETTINGS
 @hypothesis.given(nonnegative_upper())
 def test_skipped_minors_are_nonnegative(matrix):
     d = len(matrix)

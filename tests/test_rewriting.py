@@ -367,7 +367,6 @@ class TestClosureAgainstOracle:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
         @hypothesis.given(
             st.sampled_from(["ab", "abc"]).flatmap(lambda s: st.text(s, max_size=13)),
             st.sampled_from([("CE1", "CE2"), ("CE1",), ("CE2",), ("CE2", "CE1")]),

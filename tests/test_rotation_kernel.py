@@ -17,8 +17,6 @@ from circparikh.words import _count, _parikh_rows
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-
 
 def shifts(word):
     return [word[i:] + word[:i] for i in range(len(word))] or [""]
@@ -57,14 +55,12 @@ def word_and_pattern(draw):
     return symbols, word, draw(st.text(alphabet=symbols, max_size=6))
 
 
-@SETTINGS
 @hypothesis.given(word_and_pattern())
 def test_kernel_matches_per_shift_counts(case):
     _, word, pattern = case
     assert _rotation_sums(word, pattern) == count_oracle(word, pattern)
 
 
-@SETTINGS
 @hypothesis.given(word_and_pattern(), st.data())
 def test_shift_count_sums_the_first_shifts(case, data):
     _, word, pattern = case
@@ -80,7 +76,6 @@ def power_and_pattern(draw):
     return root, draw(st.integers(1, 5)), draw(st.text(alphabet=symbols, max_size=6))
 
 
-@SETTINGS
 @hypothesis.given(power_and_pattern())
 def test_one_period_of_a_power_is_a_pth_of_its_sums(case):
     # rot_{k+|u|}(u^p) = rot_k(u^p): the |u| p shifts repeat the first |u| p times.
@@ -89,14 +84,12 @@ def test_one_period_of_a_power_is_a_pth_of_its_sums(case):
     assert [[p * e for e in row] for row in period] == count_oracle(root * p, pattern)
 
 
-@SETTINGS
 @hypothesis.given(word_and_pattern())
 def test_ladder_kernel_matches_per_shift_parikh_rows(case):
     symbols, word, _ = case
     assert _rotation_sums(word, symbols) == ladder_oracle(Alphabet(symbols), word)
 
 
-@SETTINGS
 @hypothesis.given(word_and_pattern(), st.text(alphabet="abcd", max_size=12))
 def test_m_equivalent_is_matrix_equality(case, other):
     symbols, word, _ = case
