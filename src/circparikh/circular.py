@@ -86,26 +86,72 @@ class CircularWord:
 def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     """Canonical form of the circular word represented by `word`.
 
-    Conjugate representatives map to the same CircularWord.  One pass of
-    Duval's Lyndon factorization ("Factorizing words over an ordered
-    alphabet", J. Algorithms 4, 1983) over the ranks of w·w: the last
-    factor that starts before |w| starts the least rotation, and the
-    length of its Lyndon word is the period.
+    Conjugate representatives map to the same CircularWord.  One
+    `str.translate` makes code-point order the alphabet's order, and
+    `_least_start` finds the least rotation with string operations; the
+    period is where the canonical word first recurs in its square.
     """
-    ranks = alphabet.ranks(word)
-    n = len(ranks)
-    doubled = ranks + ranks
-    start = period = i = 0
-    while i < n:
-        start, k, j = i, i, i + 1
-        while j < 2 * n and doubled[k] <= doubled[j]:
-            k = i if doubled[k] < doubled[j] else k + 1
-            j += 1
-        period = j - k
-        while i <= k:
-            i += period
+    alphabet.validate(word)
+    table = alphabet._to_sorted
+    start = _least_start(word.translate(table) if table else word, alphabet._sorted)
     canonical = word[start:] + word[:start]
-    return CircularWord(alphabet, canonical, canonical[:period])
+    return CircularWord(alphabet, canonical, canonical[: (canonical + canonical).find(canonical, 1)])
+
+
+def _least_start(t: str, letters: str) -> int:
+    """Start of a least rotation of t, whose least letter is the first of
+    `letters` present in it.
+
+    Following Shiloach ("Fast canonization of circular strings", J.
+    Algorithms 2, 1981), a least rotation starts at a longest circular run
+    of the least letter.  Its length L is found by bisection on `in` probes
+    of t·t and the runs by `str.find`, so Python-level work grows with the
+    number of runs, not with |t|.  A few runs are compared as slices of
+    t·t.  Otherwise the rotations starting at runs compare as the sequences
+    of gaps between runs: a gap holds no L-run and ends in a larger letter,
+    so a gap that is a prefix of another is followed by a smaller letter.
+    The distinct gaps are ranked by sorting and the gap word, at most half
+    as long as t, recurses.
+    """
+    for least in letters:
+        if least in t:
+            break
+    else:
+        return 0  # t is empty
+    n = len(t)
+    k = t.count(least)
+    if k == 1:
+        return t.find(least)
+    if k == n:
+        return 0
+    tt = t + t
+    lo, hi = 1, 2  # least * lo occurs in t·t, least * hi does not
+    while least * hi in tt:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if least * mid in tt:
+            lo = mid
+        else:
+            hi = mid
+    run, end = least * lo, n + lo - 1  # runs start before n
+    first = tt.find(run, 0, end)
+    runs = tt.count(run, 0, end)
+    if runs == 1:
+        return first
+    if runs <= _FEW_RUNS:
+        starts = [first]
+        for _ in range(runs - 1):
+            starts.append(tt.find(run, starts[-1] + lo + 1, end))
+        return tt.find(min([tt[i : i + n] for i in starts]))
+    gaps = tt[first : first + n].split(run)[1:]
+    rank = {gap: chr(r) for r, gap in enumerate(sorted(set(gaps)))}
+    j = _least_start("".join(map(rank.__getitem__, gaps)), "\x00")
+    return first + j * lo + sum(map(len, gaps[:j]))
+
+
+# Above this many longest runs, `_least_start` ranks gaps instead of slicing.
+_FEW_RUNS = 8
 
 
 def direct_count(cw: CircularWord, pattern: str) -> int:

@@ -20,7 +20,7 @@ from .matrices import UnitriangularMatrix
 class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols."""
 
-    __slots__ = ("symbols", "_rank")
+    __slots__ = ("symbols", "_rank", "_foreign", "_sorted", "_to_sorted")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -33,6 +33,13 @@ class Alphabet:
             raise ValueError(f"alphabet symbols must be distinct: {','.join(syms)}")
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
+        # Translation tables: deleting the symbols leaves the foreign ones,
+        # and mapping the i-th symbol to the i-th smallest in code-point order
+        # makes string comparison follow the alphabet's order (empty when the
+        # order is code-point order already).
+        self._foreign = str.maketrans(dict.fromkeys(syms))
+        self._sorted = "".join(sorted(syms))
+        self._to_sorted = {ord(s): r for s, r in zip(syms, self._sorted) if s != r}
 
     @classmethod
     def parse(cls, spec: str) -> "Alphabet":
@@ -50,19 +57,11 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} is not in alphabet {self}") from None
 
-    def ranks(self, word: str) -> tuple:
-        """Word as a tuple of symbol ranks; rejects foreign symbols."""
-        rank = self._rank
-        try:
-            return tuple(rank[ch] for ch in word)
-        except KeyError as exc:
-            raise ValueError(f"symbol {exc.args[0]!r} is not in alphabet {self}") from None
-
     def validate(self, word: str) -> None:
-        rank = self._rank
-        for ch in word:
-            if ch not in rank:
-                raise ValueError(f"symbol {ch!r} is not in alphabet {self}")
+        """Reject a word with a foreign symbol, naming the first one."""
+        foreign = word.translate(self._foreign)
+        if foreign:
+            raise ValueError(f"symbol {foreign[0]!r} is not in alphabet {self}")
 
     def __contains__(self, symbol):
         return symbol in self._rank

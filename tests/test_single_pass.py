@@ -1,13 +1,15 @@
 """The single-pass paths against brute-force oracles.
 
-`canonicalize` finds the least rotation and its period in one Duval pass;
-the oracle tries every rotation and takes the period from `primitive_root`.
-One scanner lists the CE1 and CE2 sites; the oracle splits every rotation
-into x·head·y·tail and evaluates the side conditions as the paper states
-them.
+`canonicalize` finds the least rotation from the longest runs of the least
+letter and takes the period from where the canonical word recurs in its
+square; the oracle tries every rotation and takes the period from
+`primitive_root`.  One scanner lists the CE1 and CE2 sites; the oracle
+splits every rotation into x·head·y·tail and evaluates the side conditions
+as the paper states them.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -23,24 +25,56 @@ from circparikh import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-SETTINGS = hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+# Alphabets whose order is not code-point order come first.
+SPECS = ["c,a,b", "b,a", "a,b,c", "a,b"]
 
 
 def least_rotation_oracle(alphabet, word):
-    ranks = alphabet.ranks(word)
+    alphabet.validate(word)
+    ranks = [alphabet.index(ch) for ch in word]
     r = min(range(len(word)), key=lambda r: ranks[r:] + ranks[:r], default=0)
     canonical = word[r:] + word[:r]
     return canonical, primitive_root(canonical)
 
 
-@pytest.mark.parametrize("spec", ["a", "b,a", "c,a,b"])
+def duval_oracle(alphabet, word):
+    """The least rotation and period by one pass of Duval's Lyndon
+    factorization over the ranks of w·w: linear time in Python, for words
+    too long for the all-rotations oracle."""
+    ranks = [alphabet.index(ch) for ch in word]
+    n = len(ranks)
+    doubled = ranks + ranks
+    start = period = i = 0
+    while i < n:
+        start, k, j = i, i, i + 1
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        period = j - k
+        while i <= k:
+            i += period
+    canonical = word[start:] + word[:start]
+    return canonical, canonical[:period]
+
+
+def assert_matches_oracle(alphabet, word):
+    cw = canonicalize(alphabet, word)
+    assert (cw.canonical, cw.period) == least_rotation_oracle(alphabet, word), word
+
+
+@pytest.mark.parametrize("spec", ["a", "b,a", "c,a,b", "a,b", "a,b,c"])
 def test_canonicalize_matches_oracle_exhaustively(spec):
     alphabet = Alphabet.parse(spec)
     for n in range(11):
         for letters in itertools.product(alphabet.symbols, repeat=n):
-            word = "".join(letters)
-            cw = canonicalize(alphabet, word)
-            assert (cw.canonical, cw.period) == least_rotation_oracle(alphabet, word), word
+            assert_matches_oracle(alphabet, "".join(letters))
+
+
+def test_canonicalize_matches_oracle_exhaustively_over_four_letters():
+    alphabet = Alphabet.parse("a,b,c,d")
+    for n in range(8):
+        for letters in itertools.product(alphabet.symbols, repeat=n):
+            assert_matches_oracle(alphabet, "".join(letters))
 
 
 @st.composite
@@ -54,16 +88,75 @@ def rotated_powers(draw):
     return symbols, word[shift:] + word[:shift]
 
 
-@SETTINGS
+@hypothesis.settings(max_examples=400)
 @hypothesis.given(rotated_powers())
 def test_canonicalize_on_rotated_powers(case):
     symbols, word = case
-    alphabet = Alphabet(symbols)
-    cw = canonicalize(alphabet, word)
-    assert (cw.canonical, cw.period) == least_rotation_oracle(alphabet, word)
+    assert_matches_oracle(Alphabet(symbols), word)
 
 
-def site_oracle(alphabet, word):
+@st.composite
+def low_entropy_words(draw):
+    """A word of length up to 400 over an alphabet in a drawn order, its
+    letters drawn with skewed weights, so long runs and repeats abound."""
+    symbols = draw(st.sampled_from(SPECS)).split(",")
+    weights = draw(st.lists(st.integers(1, 12), min_size=len(symbols), max_size=len(symbols)))
+    pool = [s for s, weight in zip(symbols, weights) for _ in range(weight)]
+    n = draw(st.integers(0, 400))
+    word = "".join(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return ",".join(symbols), word
+
+
+@hypothesis.given(low_entropy_words())
+def test_canonicalize_on_low_entropy_words(case):
+    spec, word = case
+    assert_matches_oracle(Alphabet.parse(spec), word)
+
+
+def fibonacci_prefix(x, y, n):
+    shorter, longer = x, x + y
+    while len(longer) < n:
+        shorter, longer = longer, longer + shorter
+    return longer[:n]
+
+
+@st.composite
+def near_periodic_words(draw):
+    """A rotation of x^k·y, (xy)^k·y or a Fibonacci prefix over x, y, with
+    up to three letters overwritten: many candidate starts that tie long."""
+    spec = draw(st.sampled_from(SPECS))
+    symbols = spec.split(",")
+    x, y = draw(st.permutations(symbols))[:2]
+    k = draw(st.integers(1, 150))
+    word = draw(
+        st.sampled_from([x * k + y, (x + y) * k + y, fibonacci_prefix(x, y, k + 1)])
+    )
+    letters = list(word)
+    for index, symbol in draw(
+        st.lists(st.tuples(st.integers(0, len(word) - 1), st.sampled_from(symbols)), max_size=3)
+    ):
+        letters[index] = symbol
+    shift = draw(st.integers(0, len(word) - 1))
+    word = "".join(letters)
+    return spec, word[shift:] + word[:shift]
+
+
+@hypothesis.given(near_periodic_words())
+def test_canonicalize_on_near_periodic_words(case):
+    spec, word = case
+    assert_matches_oracle(Alphabet.parse(spec), word)
+
+
+@pytest.mark.parametrize("spec", ["a,b", "c,a,b"])
+def test_duval_oracle_matches_oracle(spec):
+    alphabet = Alphabet.parse(spec)
+    for n in range(9):
+        for letters in itertools.product(alphabet.symbols, repeat=n):
+            word = "".join(letters)
+            assert duval_oracle(alphabet, word) == least_rotation_oracle(alphabet, word), word
+
+
+def site_oracle(alphabet, word, canonical=least_rotation_oracle):
     """(rule, rotation, |x|, |y|, α, lhs, rhs, result) for every CE1 site,
     then every CE2 site, each in the order rotation, α, |x|."""
     a, b, c = alphabet.symbols
@@ -86,9 +179,25 @@ def site_oracle(alphabet, word):
                         bar = c if alpha == a else a
                         lhs = x.count(bar) * (len(y) + y.count(b) + 3)
                         rhs = y.count(bar) * (len(x) + x.count(b) + 3)
-                    result = least_rotation_oracle(alphabet, x + tail + y + head)
+                    result = canonical(alphabet, x + tail + y + head)
                     sites.append((rule, r, len(x), len(y), alpha, lhs, rhs, result))
     return sites
+
+
+def listing(cw):
+    return [
+        (
+            app.rule,
+            app.rotation,
+            app.x_len,
+            app.y_len,
+            app.alpha,
+            app.condition_lhs,
+            app.condition_rhs,
+            (app.result.canonical, app.result.period),
+        )
+        for app in find_ce1(cw) + find_ce2(cw)
+    ]
 
 
 @pytest.mark.parametrize("spec", ["a,b,c", "b,c,a"])
@@ -97,20 +206,24 @@ def test_ce_scanner_matches_site_oracle(spec):
     seen_alphas = set()
     for n in range(9):
         for cw in enumerate_necklaces(alphabet, n):
-            listed = [
-                (
-                    app.rule,
-                    app.rotation,
-                    app.x_len,
-                    app.y_len,
-                    app.alpha,
-                    app.condition_lhs,
-                    app.condition_rhs,
-                    (app.result.canonical, app.result.period),
-                )
-                for app in find_ce1(cw) + find_ce2(cw)
-            ]
+            listed = listing(cw)
             assert listed == site_oracle(alphabet, cw.canonical), cw
             seen_alphas.update(site[4] for site in listed)
     a, _, c = alphabet.symbols
     assert seen_alphas == {None, a, c}
+
+
+@pytest.mark.parametrize("spec", ["a,b,c", "c,a,b"])
+def test_long_listings_match_site_oracle(spec):
+    """Listings of random words of length 128-192, every result checked
+    against Duval's factorization, the kernel listings used before."""
+    alphabet = Alphabet.parse(spec)
+    rng = random.Random(spec)
+    sites = 0
+    for _ in range(4):
+        word = "".join(rng.choices(alphabet.symbols, k=rng.randint(128, 192)))
+        cw = canonicalize(alphabet, word)
+        listed = listing(cw)
+        assert listed == site_oracle(alphabet, cw.canonical, duval_oracle), word
+        sites += len(listed)
+    assert sites > 0

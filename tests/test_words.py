@@ -58,7 +58,7 @@ class TestAlphabet:
         with pytest.raises(ValueError, match="'x'"):
             ABC.validate("axb")
         with pytest.raises(ValueError, match="'z'"):
-            ABC.ranks("z")
+            ABC.validate("bzcyx")
 
 
 class TestCountSubword:
