@@ -2,12 +2,14 @@
 
 Commands: count, matrix, mequiv, rules, classes, verify, search-minor.
 Exit codes: 0 success / suites pass, 1 semantic negative (not equivalent),
-2 verification failure, 64 usage error.  All numeric output is exact.
+2 verification failure, 64 usage error, 141 output pipe closed early.  All
+numeric output is exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .circular import (
@@ -28,6 +30,7 @@ from .rewriting import find_ce1, find_ce2, rewrite_closure
 from .words import Alphabet, count_subword, parikh_matrix
 
 USAGE_ERROR = 64
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 # Enumeration guard rails for classes, search-minor and verify (about size^n / n necklaces).
 _LENGTH_CAPS = {1: 16, 2: 16, 3: 12, 4: 8}
@@ -295,13 +298,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except (_UsageError, ValueError) as exc:
         print(f"circparikh: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"circparikh: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered, and the flush at
+        # exit, to devnull instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

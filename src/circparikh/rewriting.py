@@ -230,7 +230,7 @@ class RewriteGraph:
     def to_dot(self) -> str:
         lines = ["graph rewrites {"]
         for node in self.nodes:
-            lines.append(f'  "{node.canonical}" [label="[{node.canonical}]"];')
+            lines.append(f"  {_quote(node.canonical)} [label={_quote(f'[{node.canonical}]')}];")
         for edge in self.edges:
             app = edge.application
             if app.rule == "CE1":
@@ -238,11 +238,16 @@ class RewriteGraph:
             else:
                 label = f"CE2@r={app.rotation},α={app.alpha}"
             lines.append(
-                f'  "{edge.source.canonical}" -- "{edge.target.canonical}" '
-                f'[label="{label}"];'
+                f"  {_quote(edge.source.canonical)} -- {_quote(edge.target.canonical)} "
+                f"[label={_quote(label)}];"
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _quote(text: str) -> str:
+    """A DOT quoted string: a backslash or double quote is escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100000) -> RewriteGraph:
@@ -256,7 +261,9 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     finds its target by one lookup of its linear result, and only a result
     of a new class is canonicalized: one `canonicalize` per node, none for
     an invalid site or one over the budget.  (Listings by `find_ce1` and
-    `find_ce2` still canonicalize every site, since they print each result.)
+    `find_ce2` canonicalize every site, since they print each result; each
+    call costs a few `str` operations plus Python work per longest run of
+    the least letter.)
     """
     _require_ternary(cw.alphabet)
     if max_steps < 1:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,23 @@ class TestRules:
     def test_rule_filter(self, capsys):
         code, out, _ = run(capsys, "rules", "--rule", "CE2", "abacca")
         assert (code, out.strip()) == (0, "no applications")
+
+    # Symbols that DOT must escape, in node names and in CE2's α label.
+    @pytest.mark.parametrize(
+        "alphabet, word, edges",
+        [('a,",c', 'a"ac"a', 0), ('a,",c', 'a"acca', 2), ('",b,\\', '\\b"bb\\b"', 2)],
+    )
+    def test_closure_dot_is_well_formed(self, capsys, alphabet, word, edges):
+        code, out, _ = run(capsys, "rules", "-a", alphabet, "--closure", word)
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        node = re.compile(rf"  ({quoted}) \[label={quoted}\];")
+        edge = re.compile(rf"  ({quoted}) -- ({quoted}) \[label={quoted}\];")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "graph rewrites {" and lines[-1] == "}"
+        nodes = [m[1] for m in map(node.fullmatch, lines[1:-1]) if m]
+        ends = [m.groups() for m in map(edge.fullmatch, lines[1:-1]) if m]
+        assert len(nodes) + len(ends) == len(lines) - 2 and len(ends) == edges
+        assert {end for pair in ends for end in pair} <= set(nodes)
 
 
 class TestClasses:
@@ -320,3 +338,19 @@ def test_python_m_runs_the_cli(tmp_path):
         [*argv, "[abcabc]", "ax"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
     )
     assert proc.returncode == 64 and "'x'" in proc.stderr
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # The (7,8) closure prints a DOT of about 380 kB, more than a pipe holds,
+    # so the writer is still writing when the reader goes away.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "circparikh", "rules", "--closure", "aaaaaaabbbbbbbb"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path
+    ) as proc:
+        assert proc.stdout.readline() == b"graph rewrites {\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and err == ""
