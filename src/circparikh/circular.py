@@ -3,6 +3,8 @@
 A circular word is the conjugacy class of a linear word under rotation.
 It is stored canonically: the lexicographically least rotation (in the
 alphabet's order) and the primitive root, whose length is the class size.
+`canonicalize` finds both with `str` operations that run in C: only the
+rotations starting at a longest run of the least letter are compared.
 
 Two counting modes exist for a pattern v in a circular word [w]:
 
@@ -87,15 +89,22 @@ def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     """Canonical form of the circular word represented by `word`.
 
     Conjugate representatives map to the same CircularWord.  One
-    `str.translate` makes code-point order the alphabet's order, and
-    `_least_start` finds the least rotation with string operations; the
-    period is where the canonical word first recurs in its square.
+    `str.translate` rejects foreign symbols and, unless the alphabet is
+    already in code-point order, one more makes code-point order the
+    alphabet's order; `_least_start` then finds the least rotation with
+    string operations, and the period is where the canonical word first
+    recurs in its square.
     """
     alphabet.validate(word)
     table = alphabet._to_sorted
     start = _least_start(word.translate(table) if table else word, alphabet._sorted)
     canonical = word[start:] + word[:start]
-    return CircularWord(alphabet, canonical, canonical[: (canonical + canonical).find(canonical, 1)])
+    period = (canonical + canonical).find(canonical, 1)  # -1 for λ, and λ[:-1] is λ
+    return CircularWord(alphabet, canonical, canonical[:period])
+
+
+# Above this many longest runs, `_least_start` ranks gaps instead of slicing.
+_FEW_RUNS = 8
 
 
 def _least_start(t: str, letters: str) -> int:
@@ -148,10 +157,6 @@ def _least_start(t: str, letters: str) -> int:
     rank = {gap: chr(r) for r, gap in enumerate(sorted(set(gaps)))}
     j = _least_start("".join(map(rank.__getitem__, gaps)), "\x00")
     return first + j * lo + sum(map(len, gaps[:j]))
-
-
-# Above this many longest runs, `_least_start` ranks gaps instead of slicing.
-_FEW_RUNS = 8
 
 
 def direct_count(cw: CircularWord, pattern: str) -> int:
