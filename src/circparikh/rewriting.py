@@ -228,26 +228,29 @@ class RewriteGraph:
     complete: bool
 
     def to_dot(self) -> str:
+        # Node names and symbols are escaped once, not once per edge.
+        names = {node.canonical: node.canonical.translate(_DOT_ESCAPES) for node in self.nodes}
+        symbols = {s: s.translate(_DOT_ESCAPES) for node in self.nodes[:1] for s in node.alphabet}
         lines = ["graph rewrites {"]
         for node in self.nodes:
-            lines.append(f"  {_quote(node.canonical)} [label={_quote(f'[{node.canonical}]')}];")
+            name = names[node.canonical]
+            lines.append(f'  "{name}" [label="[{name}]"];')
         for edge in self.edges:
             app = edge.application
             if app.rule == "CE1":
                 label = f"CE1@r={app.rotation},|x|={app.x_len}"
             else:
-                label = f"CE2@r={app.rotation},α={app.alpha}"
+                label = f"CE2@r={app.rotation},α={symbols[app.alpha]}"
             lines.append(
-                f"  {_quote(edge.source.canonical)} -- {_quote(edge.target.canonical)} "
-                f"[label={_quote(label)}];"
+                f'  "{names[edge.source.canonical]}" -- "{names[edge.target.canonical]}" '
+                f'[label="{label}"];'
             )
         lines.append("}")
         return "\n".join(lines)
 
 
-def _quote(text: str) -> str:
-    """A DOT quoted string: a backslash or double quote is escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+# A DOT quoted string escapes a backslash and a double quote.
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
 
 
 def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100000) -> RewriteGraph:
