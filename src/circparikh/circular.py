@@ -135,7 +135,7 @@ def _least_start(t: str, letters: str) -> int:
         return 0
     tt = t + t
     lo, hi = 1, 2  # least * lo occurs in t·t, least * hi does not
-    while least * hi in tt:
+    while hi <= k and least * hi in tt:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -149,10 +149,13 @@ def _least_start(t: str, letters: str) -> int:
     if runs == 1:
         return first
     if runs <= _FEW_RUNS:
-        starts = [first]
+        least_rotation, i = tt[first : first + n], first
         for _ in range(runs - 1):
-            starts.append(tt.find(run, starts[-1] + lo + 1, end))
-        return tt.find(min([tt[i : i + n] for i in starts]))
+            i = tt.find(run, i + lo + 1, end)
+            rotation = tt[i : i + n]
+            if rotation < least_rotation:
+                least_rotation = rotation
+        return tt.find(least_rotation)
     gaps = tt[first : first + n].split(run)[1:]
     rank = {gap: chr(r) for r, gap in enumerate(sorted(set(gaps)))}
     j = _least_start("".join(map(rank.__getitem__, gaps)), "\x00")
