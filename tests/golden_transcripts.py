@@ -112,9 +112,12 @@ CASES = (
             f"classes-{spec.replace(',', '')}-{fmt}",
             ("classes", "-a", spec, "--length", "4", "--format", fmt),
         )
-        for spec in ("a,b", "a,b,c", "c,a,b")
+        for spec in ("a,b", "a,b,c", "c,a,b", "a,b,c,d")
         for fmt in ("text", "json", "csv")
     ),
+    # No negative minor over a,b,c up to length 9; the [abcd] witness over a,b,c,d.
+    Case("search-minor-abc-9", ("search-minor", "-a", "a,b,c", "--max-length", "9")),
+    Case("search-minor-abcd-6", ("search-minor", "-a", "a,b,c,d", "--max-length", "6")),
     # A foreign symbol exits 64 naming the first one in word order.
     Case("usage-count-foreign-word", ("count", "[abzcy]", "ab")),
     Case("usage-count-foreign-subword", ("count", "--mode", "direct", "[abc]", "ad")),
