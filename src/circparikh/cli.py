@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
 
 
 def _alphabet(args) -> Alphabet:
-    return Alphabet.parse(args.alphabet if args.alphabet else "a,b,c")
+    return Alphabet.parse("a,b,c" if args.alphabet is None else args.alphabet)
 
 
 def _strip_brackets(word: str):

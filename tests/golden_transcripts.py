@@ -125,6 +125,7 @@ CASES = (
     Case("usage-matrix-circular-foreign", ("matrix", "--circular", "abzcy")),
     Case("usage-matrix-foreign", ("matrix", "-a", "a,b", "abc")),
     Case("usage-mequiv-foreign", ("mequiv", "abc", "aqc")),
+    Case("usage-matrix-empty-alphabet", ("matrix", "-a", "", "")),
 )
 
 

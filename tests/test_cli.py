@@ -325,6 +325,23 @@ class TestUsage:
         code, _, err = run(capsys, "count", "--mode", "sideways", "ab", "a")
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "-a", "", "", ""),
+            ("matrix", "-a", "", ""),
+            ("mequiv", "-a", "", "", ""),
+            ("rules", "-a", "", ""),
+            ("classes", "-a", "", "--length", "2"),
+            ("search-minor", "-a", "", "--max-length", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_alphabet_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err == "circparikh: error: alphabet must not be empty\n"
+
 
 def test_python_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
