@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, mirror
+from .words import Alphabet, _count, _positions, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -177,15 +177,19 @@ def _rotation_sums(word: str, pattern: str, shifts: int | None = None) -> list:
     morphism, so rotating the front letter x to the back is the conjugation
     M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
 
-    A rotation changes only row k and column k+1 at each pattern position k
-    of x, so it costs O(m) per position, and O(n m) for the alphabet ladder.
+    Both the build and a rotation visit only the pattern positions k that
+    hold the letter (`_positions`, descending), and a rotation changes only
+    row k and column k+1 at each, so it costs O(m) per position and O(n m)
+    for the alphabet ladder; a letter absent from the pattern costs O(1).
     The sums are accumulated lazily: an entry that ends at e after changing
     by d_s at each rotation step s sums to shifts * e - (the sum of d_s * s),
     so a change records d_s * s alone and no step adds up the matrix.
     """
     m = len(pattern)
-    positions = {x: [k for k in range(m - 1, -1, -1) if pattern[k] == x] for x in set(pattern)}
-    rows = [[int(i == j) for j in range(m + 1)] for i in range(m + 1)]
+    positions = _positions(pattern)
+    rows = [[0] * (m + 1) for _ in range(m + 1)]
+    for i, row in enumerate(rows):
+        row[i] = 1
     for ch in word:  # build M_v(word): rows <- rows M(x)
         for k in positions.get(ch, ()):
             for row in rows[: k + 1]:
@@ -322,10 +326,11 @@ def weak_ratio(alphabet: Alphabet, u: str, v: str) -> bool:
 
 def product_identity_check(cw: CircularWord) -> bool:
     """Check that the avg_count values of all s! full-alphabet permutation
-    words sum to the product of the single-letter counts."""
-    syms = cw.alphabet.symbols
-    total = sum(avg_count(cw, "".join(p)) for p in itertools.permutations(syms))
-    return total == math.prod(cw.canonical.count(s) for s in syms)
+    words sum to the product of the single-letter counts: in integers, that
+    their rotation sums add up to n times the product, n = max(|w|, 1)."""
+    w, syms = cw.canonical, cw.alphabet.symbols
+    total = sum(_rotation_sums(w, "".join(p))[0][-1] for p in itertools.permutations(syms))
+    return total == max(cw.length, 1) * math.prod(w.count(s) for s in syms)
 
 
 def slender_partition_check(cw: CircularWord) -> bool:

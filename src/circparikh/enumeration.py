@@ -23,10 +23,8 @@ from .circular import (
     CircularWord,
     _class_average,
     _ladder_sums,
-    binary_closed_form,
     canonicalize,
     circular_inverse_alternate_check,
-    circular_parikh_matrix,
     circular_power_check,
     m_equivalent,
     primitive_root,
@@ -197,10 +195,13 @@ def _label(word: str) -> str:
 
 
 def _binary_closed_form(alphabet, max_length):
+    """The closed form (1, na, na nb / 2; 0, 1, nb) times n = max(|w|, 1),
+    against the ladder sums in integers."""
     a, b = alphabet.symbols
     for w in _words_up_to(alphabet.symbols, max_length):
-        matrix = circular_parikh_matrix(canonicalize(alphabet, w))
-        ok = matrix == binary_closed_form(w.count(a), w.count(b))
+        (_, t01, t02), (_, _, t12), _ = _ladder_sums(canonicalize(alphabet, w))
+        n, na, nb = max(len(w), 1), w.count(a), w.count(b)
+        ok = (t01, t12, 2 * t02) == (n * na, n * nb, n * na * nb)
         yield None if ok else f"w={_label(w)}: circular matrix differs from closed form"
 
 

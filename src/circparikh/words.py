@@ -92,19 +92,33 @@ def mirror(word: str) -> str:
     return word[::-1]
 
 
+def _positions(pattern: str) -> dict:
+    """Each letter of `pattern` mapped to the positions that hold it, in
+    descending order, so that an update at k + 1 reads the value at k from
+    before the same letter."""
+    positions = {}
+    for k in range(len(pattern) - 1, -1, -1):
+        positions.setdefault(pattern[k], []).append(k)
+    return positions
+
+
 def _count(word: str, pattern: str) -> int:
-    # dp[j] = number of ways to place pattern[:j] in the prefix read so far
+    """Occurrences of `pattern` as a scattered subword of `word`.
+
+    dp[j] counts the placements of pattern[:j] in the prefix read so far;
+    reading a letter advances only the pattern positions that hold it, so
+    a letter costs O(1) plus one step per such position, not O(m).
+    """
     m = len(pattern)
     if m == 0:
         return 1
     if m == 1:
         return word.count(pattern)
-    dp = [0] * (m + 1)
-    dp[0] = 1
+    positions = _positions(pattern)
+    dp = [1] + [0] * m
     for ch in word:
-        for j in range(m - 1, -1, -1):
-            if pattern[j] == ch:
-                dp[j + 1] += dp[j]
+        for j in positions.get(ch, ()):
+            dp[j + 1] += dp[j]
     return dp[m]
 
 
@@ -131,7 +145,9 @@ def _parikh_rows(alphabet: Alphabet, word: str):
     # of rank q adds column q into column q+1.
     rank = alphabet._rank
     d = alphabet.size + 1
-    rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    rows = [[0] * d for _ in range(d)]
+    for i, row in enumerate(rows):
+        row[i] = 1
     for ch in word:
         try:
             q = rank[ch]

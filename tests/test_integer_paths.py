@@ -1,13 +1,15 @@
 """The integer fast paths of the exhaustive checks against slow oracles.
 
 The oracles are the code these paths replaced: necklaces found by running
-`canonicalize` on every word, the power and inverse-alternate identities
-taken on `Fraction` matrices, class keys formatted per necklace, and the
-minor scan over every square minor.  The public matrix algebra, itself
+`canonicalize` on every word, the power, inverse-alternate and binary
+closed-form identities taken on `Fraction` matrices, the permutation-sum
+identity on `Fraction` averages, class keys formatted per necklace, and
+the minor scan over every square minor.  The public matrix algebra, itself
 plain `Fraction` arithmetic, is checked entry by entry.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,13 +17,17 @@ import pytest
 from circparikh import (
     Alphabet,
     UnitriangularMatrix,
+    avg_count,
+    binary_closed_form,
     canonicalize,
     circular_parikh_matrix,
     enumerate_necklaces,
     mirror_class,
     partition_by_matrix,
+    product_identity_check,
     search_negative_minor,
 )
+from circparikh import enumeration
 from circparikh.circular import _inverse_alternate_holds, _power_holds, _rotation_sums
 from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
 
@@ -76,6 +82,37 @@ def test_integer_identity_checks_match_fraction_oracle(spec, max_n, verdicts):
                 assert holds == power_oracle(cw, p), (cw, p)
                 seen.add(("power", holds))
     assert seen == {(identity, v) for identity in ("inverse", "power") for v in verdicts}
+
+
+@pytest.mark.parametrize("extra", ["", "a", "ab"])
+def test_binary_closed_form_cases_match_fraction_oracle(monkeypatch, extra):
+    # With `extra` appended to the word whose matrix is taken, but not to the
+    # word whose letters are counted, the closed form fails: both verdicts.
+    ab = Alphabet("ab")
+    monkeypatch.setattr(enumeration, "canonicalize", lambda a, w: canonicalize(a, w + extra))
+    words = ["".join(t) for n in range(11) for t in itertools.product("ab", repeat=n)]
+    oracle = [
+        circular_parikh_matrix(canonicalize(ab, w + extra))
+        == binary_closed_form(w.count("a"), w.count("b"))
+        for w in words
+    ]
+    verdicts = [case is None for case in enumeration._binary_closed_form(ab, 10)]
+    assert verdicts == oracle
+    assert set(oracle) == ({True} if not extra else {False})
+
+
+@pytest.mark.parametrize("spec, max_n", [("a,b", 6), ("a,b,c", 6), ("a,b,c,d", 6)])
+def test_product_identity_matches_fraction_sum(spec, max_n):
+    alphabet = Alphabet.parse(spec)
+    seen = set()
+    for n in range(max_n + 1):
+        for cw in enumerate_necklaces(alphabet, n):
+            permutations = ("".join(p) for p in itertools.permutations(alphabet.symbols))
+            total = sum(avg_count(cw, p) for p in permutations)
+            oracle = total == math.prod(cw.canonical.count(s) for s in alphabet.symbols)
+            assert product_identity_check(cw) == oracle, cw
+            seen.add(oracle)
+    assert seen == {True}
 
 
 def mul_oracle(a, b):

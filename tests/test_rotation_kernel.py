@@ -1,9 +1,10 @@
 """The rotation kernel against brute-force per-shift sums.
 
 `_rotation_sums` conjugates one generalized Parikh matrix around the word;
-the oracles below recount every cyclic shift from scratch with the linear
-`_count` and `_parikh_rows`, which is how the class averages used to be
-computed.
+the oracles below recount every cyclic shift from scratch, which is how the
+class averages used to be computed: with the linear `_parikh_rows` for the
+ladder and, for any pattern, with the all-positions subword DP that
+`_count` used before it shared `_positions` with the kernel.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import pytest
 
 from circparikh import Alphabet, canonicalize, circular_parikh_matrix, m_equivalent
 from circparikh.circular import _rotation_sums
-from circparikh.words import _count, _parikh_rows
+from circparikh.words import _parikh_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -22,12 +23,25 @@ def shifts(word):
     return [word[i:] + word[:i] for i in range(len(word))] or [""]
 
 
+def subword_count(word, pattern):
+    # dp[j] counts the placements of pattern[:j]; every position is compared.
+    dp = [1] + [0] * len(pattern)
+    for ch in word:
+        for j in range(len(pattern) - 1, -1, -1):
+            if pattern[j] == ch:
+                dp[j + 1] += dp[j]
+    return dp[-1]
+
+
 def count_oracle(word, pattern, first=None):
     """Per-shift sums over the first `first` shifts (all of them by default)."""
     m = len(pattern)
     members = shifts(word)[:first]
     return [
-        [sum(_count(u, pattern[i:j]) for u in members) if i <= j else 0 for j in range(m + 1)]
+        [
+            sum(subword_count(u, pattern[i:j]) for u in members) if i <= j else 0
+            for j in range(m + 1)
+        ]
         for i in range(m + 1)
     ]
 
@@ -67,6 +81,23 @@ def test_shift_count_sums_the_first_shifts(case, data):
     hypothesis.assume(word)
     first = data.draw(st.integers(0, len(word)), label="shifts")
     assert _rotation_sums(word, pattern, first) == count_oracle(word, pattern, first)
+
+
+@st.composite
+def word_and_repeating_pattern(draw):
+    symbols = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    base = draw(st.text(alphabet=symbols, min_size=1, max_size=5))
+    at = draw(st.integers(0, len(base)))
+    pattern = base[:at] + draw(st.sampled_from(base)) + base[at:]
+    return draw(st.text(alphabet=symbols, min_size=1, max_size=24)), pattern
+
+
+@hypothesis.given(word_and_repeating_pattern())
+def test_every_shift_count_matches_the_oracle(case):
+    # s = 0 sums no shift at all, so every entry is 0, the diagonal too.
+    word, pattern = case
+    for first in range(len(word) + 1):
+        assert _rotation_sums(word, pattern, first) == count_oracle(word, pattern, first), first
 
 
 @st.composite

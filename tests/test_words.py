@@ -88,6 +88,27 @@ class TestCountSubword:
             for v in words_up_to("abc", 3):
                 assert count_subword(w, v) == brute_count(w, v)
 
+    def test_patterns_that_repeat_letters_match_brute_force(self):
+        # A repeated letter advances several positions at once; they must be
+        # visited from the right, or a letter is used twice in one placement.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def word_and_pattern(draw):
+            symbols = draw(st.sampled_from(["ab", "abc"]))
+            base = draw(st.text(symbols, min_size=1, max_size=5))
+            at = draw(st.integers(0, len(base)))
+            pattern = base[:at] + draw(st.sampled_from(base)) + base[at:]
+            return draw(st.text(symbols, max_size=12)), pattern
+
+        @hypothesis.given(word_and_pattern())
+        def check(case):
+            word, pattern = case
+            assert count_subword(word, pattern) == brute_count(word, pattern)
+
+        check()
+
 
 class TestParikhVector:
     def test_examples(self):
