@@ -94,8 +94,8 @@ def mirror(word: str) -> str:
 
 def _positions(pattern: str) -> dict:
     """Each letter of `pattern` mapped to the positions that hold it, in
-    descending order, so that an update at k + 1 reads the value at k from
-    before the same letter."""
+    descending order, so that a step from position k to k + 1 reads k
+    before the same letter has advanced it."""
     positions = {}
     for k in range(len(pattern) - 1, -1, -1):
         positions.setdefault(pattern[k], []).append(k)
