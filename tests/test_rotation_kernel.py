@@ -3,8 +3,8 @@
 `_rotation_sums` conjugates one generalized Parikh matrix around the word;
 the oracles below recount every cyclic shift from scratch, which is how the
 class averages used to be computed: with the linear `_parikh_rows` for the
-ladder and, for any pattern, with the all-positions subword DP that
-`_count` used before it shared `_positions` with the kernel.
+ladder and, for any pattern, with an all-positions subword DP.  `_count`
+cannot serve there, as it shares `_positions` with the kernel.
 """
 
 import itertools
