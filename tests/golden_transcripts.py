@@ -126,6 +126,14 @@ CASES = (
     Case("usage-matrix-foreign", ("matrix", "-a", "a,b", "abc")),
     Case("usage-mequiv-foreign", ("mequiv", "abc", "aqc")),
     Case("usage-matrix-empty-alphabet", ("matrix", "-a", "", "")),
+    Case("usage-count-linear-bracketed", ("count", "--mode", "linear", "[abc]", "ab")),
+    # The enumeration caps: one past the ternary / quaternary cap, and size 5.
+    Case("usage-classes-length=13", ("classes", "-a", "a,b,c", "--length", "13")),
+    Case("usage-search-minor-max-length=9", ("search-minor", "-a", "a,b,c,d", "--max-length", "9")),
+    Case("usage-classes-alphabet-size-5", ("classes", "-a", "a,b,c,d,e", "--length", "3")),
+    # Argument-parser errors exit 64 like every other usage error.
+    Case("usage-unknown-flag", ("verify", "--suite", "power", "--bogus")),
+    Case("usage-classes-missing-length", ("classes", "-a", "a,b")),
 )
 
 
