@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from . import circular
 from .circular import (
     CircularWord,
     _class_average,
@@ -26,13 +27,12 @@ from .circular import (
     canonicalize,
     circular_inverse_alternate_check,
     circular_power_check,
-    m_equivalent,
     primitive_root,
     product_identity_check,
     slender_partition_check,
 )
 from .rewriting import _swaps, apply_e1, apply_e2, naive_rule_failure_examples
-from .words import Alphabet, _parikh_rows, parikh_vector, permutation_identity_check
+from .words import Alphabet, _parikh_rows, _positions, parikh_vector
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -176,6 +176,61 @@ def _words_up_to(symbols, max_len: int):
             yield "".join(tup)
 
 
+def _walk(symbols, max_len: int, root, step):
+    """(w, state of w) for every word w up to max_len, in `_words_up_to`
+    order, where `root` is the state of λ and `step(state, x)` the state of
+    w·x.  Depth-first to each length in turn through the prefix tree, so it
+    holds one root-to-leaf path of states, never a whole level, and takes
+    about |Σ| / (|Σ| - 1) steps per word."""
+
+    def below(word, state, depth):
+        if not depth:
+            yield word, state
+            return
+        for x in symbols:
+            yield from below(word + x, step(state, x), depth - 1)
+
+    for n in range(max_len + 1):
+        yield from below("", root, n)
+
+
+def _extend_rows(rank, rows, x):
+    """The linear Parikh rows of w·x from those of w: appending the symbol
+    of rank q adds column q into column q+1."""
+    q = rank[x]
+    rows = [row.copy() for row in rows]
+    for row in rows[: q + 1]:
+        row[q + 1] += row[q]
+    return rows
+
+
+def _extend_counts(patterns, dps, x):
+    """The subword-count DPs of w·x from those of w, one per pattern given
+    by its `_positions`: dp[j] counts the placements of pattern[:j]."""
+    out = []
+    for positions, dp in zip(patterns, dps):
+        dp = dp.copy()
+        for j in positions.get(x, ()):
+            dp[j + 1] += dp[j]
+        out.append(dp)
+    return out
+
+
+def _ladder_sums_by_word(alphabet: Alphabet):
+    """A function from a word to the ladder sums of its necklace, which
+    computes each necklace's sums once.  It reads `circular._ladder_sums`
+    at call time, the seam the failing `ce2-iff` golden swaps."""
+    sums = {}
+
+    def ladder_sums(word):
+        cw = canonicalize(alphabet, word)
+        if cw.canonical not in sums:
+            sums[cw.canonical] = circular._ladder_sums(cw)
+        return sums[cw.canonical]
+
+    return ladder_sums
+
+
 def _necklaces_up_to(alphabet: Alphabet, max_len: int):
     for n in range(max_len + 1):
         yield from enumerate_necklaces(alphabet, n)
@@ -198,8 +253,9 @@ def _binary_closed_form(alphabet, max_length):
     """The closed form (1, na, na nb / 2; 0, 1, nb) times n = max(|w|, 1),
     against the ladder sums in integers."""
     a, b = alphabet.symbols
+    ladder_sums = _ladder_sums_by_word(alphabet)
     for w in _words_up_to(alphabet.symbols, max_length):
-        (_, t01, t02), (_, _, t12), _ = _ladder_sums(canonicalize(alphabet, w))
+        (_, t01, t02), (_, _, t12), _ = ladder_sums(w)
         n, na, nb = max(len(w), 1), w.count(a), w.count(b)
         ok = (t01, t12, 2 * t02) == (n * na, n * nb, n * na * nb)
         yield None if ok else f"w={_label(w)}: circular matrix differs from closed form"
@@ -219,8 +275,13 @@ def _necklace_checks(check, message, alphabet, max_length):
 
 
 def _product_identity(alphabet, max_length):
-    for w in _words_up_to(alphabet.symbols, max_length):
-        ok = permutation_identity_check(alphabet, w)
+    """The subword counts of the s! permutation words sum to the letter-count
+    product: linearly with one DP step per word, then per necklace."""
+    symbols = alphabet.symbols
+    patterns = [_positions("".join(p)) for p in itertools.permutations(symbols)]
+    root = [[1] + [0] * len(symbols) for _ in patterns]
+    for w, dps in _walk(symbols, max_length, root, partial(_extend_counts, patterns)):
+        ok = sum(dp[-1] for dp in dps) == math.prod(w.count(s) for s in symbols)
         yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
     yield from _necklace_checks(
         product_identity_check, "circular permutation-sum identity fails", alphabet, max_length
@@ -231,20 +292,22 @@ def _ce_iff(rule, alphabet, max_split):
     """For each swap x·head·y·tail -> x·tail·y·head of `rule`, the side
     condition holds iff the two circular words are M-equivalent."""
     swaps = _swaps(alphabet, rule)
+    ladder_sums = _ladder_sums_by_word(alphabet)
     for x, y in _split_pairs(alphabet.symbols, max_split):
         for alpha, head, tail, side_condition in swaps:
             lhs, rhs = side_condition(x, y)
             condition = lhs == rhs
             w, w2 = x + head + y + tail, x + tail + y + head
-            equivalent = m_equivalent(canonicalize(alphabet, w), canonicalize(alphabet, w2))
+            equivalent = ladder_sums(w) == ladder_sums(w2)
             site = f"x={_label(x)} y={_label(y)}" + ("" if alpha is None else f" α={alpha}")
             ok = condition == equivalent
             yield None if ok else f"{site}: condition {condition}, equivalence {equivalent}"
 
 
 def _linear_rules(alphabet, max_length):
-    for w in _words_up_to(alphabet.symbols, max_length):
-        rows = _parikh_rows(alphabet, w)
+    rank = {x: q for q, x in enumerate(alphabet.symbols)}
+    identity = _parikh_rows(alphabet, "")
+    for w, rows in _walk(alphabet.symbols, max_length, identity, partial(_extend_rows, rank)):
         for w2 in sorted(apply_e1(alphabet, w) | apply_e2(alphabet, w)):
             ok = _parikh_rows(alphabet, w2) == rows
             yield None if ok else f"{w} -> {w2}: linear Parikh matrix changed"
