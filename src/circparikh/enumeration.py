@@ -180,8 +180,8 @@ def _walk(symbols, max_len: int, root, step):
     """(w, state of w) for every word w up to max_len, in `_words_up_to`
     order, where `root` is the state of λ and `step(state, x)` the state of
     w·x.  Depth-first to each length in turn through the prefix tree, so it
-    holds one root-to-leaf path of states, never a whole level, and takes
-    about |Σ| / (|Σ| - 1) steps per word."""
+    holds one root-to-leaf path of states, never a whole level; over two or
+    more letters it takes about |Σ| / (|Σ| - 1) steps per word."""
 
     def below(word, state, depth):
         if not depth:
@@ -305,9 +305,8 @@ def _ce_iff(rule, alphabet, max_split):
 
 
 def _linear_rules(alphabet, max_length):
-    rank = {x: q for q, x in enumerate(alphabet.symbols)}
-    identity = _parikh_rows(alphabet, "")
-    for w, rows in _walk(alphabet.symbols, max_length, identity, partial(_extend_rows, rank)):
+    step = partial(_extend_rows, alphabet._rank)
+    for w, rows in _walk(alphabet.symbols, max_length, _parikh_rows(alphabet, ""), step):
         for w2 in sorted(apply_e1(alphabet, w) | apply_e2(alphabet, w)):
             ok = _parikh_rows(alphabet, w2) == rows
             yield None if ok else f"{w} -> {w2}: linear Parikh matrix changed"

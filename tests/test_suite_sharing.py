@@ -60,8 +60,7 @@ def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel)
 @pytest.mark.parametrize("spec, max_n", [("a,b,c", 7), ("c,a,b", 6), ("a,b,c,d", 5)])
 def test_walked_parikh_rows_match_parikh_rows(spec, max_n):
     alphabet = Alphabet.parse(spec)
-    rank = {x: q for q, x in enumerate(alphabet.symbols)}
-    step = partial(_extend_rows, rank)
+    step = partial(_extend_rows, alphabet._rank)
     for w, rows in _walk(alphabet.symbols, max_n, _parikh_rows(alphabet, ""), step):
         assert rows == _parikh_rows(alphabet, w), w
 
