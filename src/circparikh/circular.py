@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _positions, mirror
+from .words import Alphabet, _count, _identity, _positions, _read, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -37,26 +37,17 @@ def cyclic_shift(word: str, i: int) -> str:
 
 
 def conjugacy_class(word: str) -> list:
-    """Distinct cyclic shifts, in shift order starting from `word` itself."""
-    if not word:
-        return [""]
-    seen = set()
-    members = []
-    for i in range(len(word)):
-        u = word[i:] + word[:i]
-        if u not in seen:
-            seen.add(u)
-            members.append(u)
-    return members
+    """Distinct cyclic shifts, in shift order starting from `word` itself:
+    the first |primitive root| shifts, after which they repeat."""
+    return [word[i:] + word[:i] for i in range(max(len(primitive_root(word)), 1))]
 
 
 def primitive_root(word: str) -> str:
-    """Shortest prefix v with word = v^k; the word itself when primitive."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word[:d] * (n // d) == word:
-            return word[:d]
-    return word  # n == 0
+    """Shortest prefix v with word = v^k; the word itself when primitive.
+
+    v ends where the word first recurs in its square, at the least shift
+    that maps it to itself (-1 for λ, and λ[:-1] is λ)."""
+    return word[: (word + word).find(word, 1)]
 
 
 @dataclass(frozen=True)
@@ -92,15 +83,13 @@ def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     `str.translate` rejects foreign symbols and, unless the alphabet is
     already in code-point order, one more makes code-point order the
     alphabet's order; `_least_start` then finds the least rotation with
-    string operations, and the period is where the canonical word first
-    recurs in its square.
+    string operations, and the period is its `primitive_root`.
     """
     alphabet.validate(word)
     table = alphabet._to_sorted
     start = _least_start(word.translate(table) if table else word, alphabet._sorted)
     canonical = word[start:] + word[:start]
-    period = (canonical + canonical).find(canonical, 1)  # -1 for λ, and λ[:-1] is λ
-    return CircularWord(alphabet, canonical, canonical[:period])
+    return CircularWord(alphabet, canonical, primitive_root(canonical))
 
 
 # Above this many longest runs, `_least_start` ranks gaps instead of slicing.
@@ -177,23 +166,19 @@ def _rotation_sums(word: str, pattern: str, shifts: int | None = None) -> list:
     morphism, so rotating the front letter x to the back is the conjugation
     M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
 
-    Both the build and a rotation visit only the pattern positions k that
-    hold the letter (`_positions`, descending), and a rotation changes only
-    row k and column k+1 at each, so it costs O(m) per position and O(n m)
-    for the alphabet ladder; a letter absent from the pattern costs O(1).
+    Both the build (`_read`) and a rotation visit only the pattern
+    positions k that hold the letter (`_positions`, descending), and a
+    rotation changes only row k and column k+1 at each, so it costs O(m)
+    per position and O(n m) for the alphabet ladder; a letter absent from
+    the pattern costs O(1).
     The sums are accumulated lazily: an entry that ends at e after changing
     by d_s at each rotation step s sums to shifts * e - (the sum of d_s * s),
     so a change records d_s * s alone and no step adds up the matrix.
     """
     m = len(pattern)
     positions = _positions(pattern)
-    rows = [[0] * (m + 1) for _ in range(m + 1)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    for ch in word:  # build M_v(word): rows <- rows M(x)
-        for k in positions.get(ch, ()):
-            for row in rows[: k + 1]:
-                row[k + 1] += row[k]
+    rows = _identity(m + 1)
+    _read(rows, positions, word)
     if not word:
         return rows
     shifts = len(word) if shifts is None else shifts
@@ -335,15 +320,9 @@ def product_identity_check(cw: CircularWord) -> bool:
 
 def slender_partition_check(cw: CircularWord) -> bool:
     """Check that direct_count over one representative per conjugacy class
-    of the length-s slender words sums to the product of letter counts."""
-    syms = cw.alphabet.symbols
-    seen = set()
-    reps = []
-    for p in itertools.permutations(syms):
-        u = "".join(p)
-        canon = canonicalize(cw.alphabet, u).canonical
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(u)
-    total = sum(direct_count(cw, rep) for rep in reps)
+    of the length-s slender words sums to the product of letter counts.
+    A slender word has exactly one rotation that starts with the least
+    symbol, so the permutations that do are the representatives."""
+    least, *rest = syms = cw.alphabet.symbols
+    total = sum(direct_count(cw, least + "".join(p)) for p in itertools.permutations(rest))
     return total == math.prod(cw.canonical.count(s) for s in syms)

@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "-a",
             "--alphabet",
-            default=None,
+            default="a,b,c",
             help="ordered symbols, e.g. a,b,c (default: a,b,c)",
         )
 
@@ -110,11 +110,11 @@ def _build_parser() -> _Parser:
 
 
 def _alphabet(args) -> Alphabet:
-    return Alphabet.parse("a,b,c" if args.alphabet is None else args.alphabet)
+    return Alphabet.parse(args.alphabet)
 
 
 def _strip_brackets(word: str):
-    if word.startswith("[") and word.endswith("]") and len(word) >= 2:
+    if word.startswith("[") and word.endswith("]"):
         return word[1:-1], True
     return word, False
 
@@ -128,7 +128,6 @@ def _cmd_count(args) -> int:
         print(count_subword(word, args.subword, alphabet))
         return 0
     cw = canonicalize(alphabet, word)
-    alphabet.validate(args.subword)
     if args.mode == "direct":
         print(direct_count(cw, args.subword))
     else:

@@ -32,7 +32,7 @@ from .circular import (
     slender_partition_check,
 )
 from .rewriting import _swaps, apply_e1, apply_e2, naive_rule_failure_examples
-from .words import Alphabet, _parikh_rows, _positions, parikh_vector
+from .words import Alphabet, _parikh_rows, _positions, _read, parikh_vector
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -194,16 +194,6 @@ def _walk(symbols, max_len: int, root, step):
         yield from below("", root, n)
 
 
-def _extend_rows(rank, rows, x):
-    """The linear Parikh rows of w·x from those of w: appending the symbol
-    of rank q adds column q into column q+1."""
-    q = rank[x]
-    rows = [row.copy() for row in rows]
-    for row in rows[: q + 1]:
-        row[q + 1] += row[q]
-    return rows
-
-
 def _extend_counts(patterns, dps, x):
     """The subword-count DPs of w·x from those of w, one per pattern given
     by its `_positions`: dp[j] counts the placements of pattern[:j]."""
@@ -305,7 +295,11 @@ def _ce_iff(rule, alphabet, max_split):
 
 
 def _linear_rules(alphabet, max_length):
-    step = partial(_extend_rows, alphabet._rank)
+    def step(rows, x):  # the linear Parikh rows of w·x from those of w
+        rows = [row.copy() for row in rows]
+        _read(rows, alphabet._ladder, x)
+        return rows
+
     for w, rows in _walk(alphabet.symbols, max_length, _parikh_rows(alphabet, ""), step):
         for w2 in sorted(apply_e1(alphabet, w) | apply_e2(alphabet, w)):
             ok = _parikh_rows(alphabet, w2) == rows

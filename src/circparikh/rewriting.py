@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .circular import CircularWord, avg_count, canonicalize, m_equivalent
+from .circular import CircularWord, avg_count, canonicalize, conjugacy_class, m_equivalent
 from .words import Alphabet, parikh_vector
 
 
@@ -280,9 +280,7 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     queue = deque()
 
     def admit(node):
-        w = node.canonical
-        for r in range(len(node.period)):
-            rotations[w[r:] + w[:r]] = node
+        rotations.update(dict.fromkeys(conjugacy_class(node.canonical), node))
         order.append(node)
         queue.append(node)
 

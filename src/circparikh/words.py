@@ -20,7 +20,7 @@ from .matrices import UnitriangularMatrix
 class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols."""
 
-    __slots__ = ("symbols", "_rank", "_foreign", "_sorted", "_to_sorted")
+    __slots__ = ("symbols", "_ladder", "_foreign", "_sorted", "_to_sorted")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -32,7 +32,8 @@ class Alphabet:
         if len(set(syms)) != len(syms):
             raise ValueError(f"alphabet symbols must be distinct: {','.join(syms)}")
         self.symbols = syms
-        self._rank = {s: i for i, s in enumerate(syms)}
+        # The ladder a_1 ... a_s as `_positions` gives it: each symbol's rank.
+        self._ladder = {s: [i] for i, s in enumerate(syms)}
         # Translation tables: deleting the symbols leaves the foreign ones,
         # and mapping the i-th symbol to the i-th smallest in code-point order
         # makes string comparison follow the alphabet's order (empty when the
@@ -53,7 +54,7 @@ class Alphabet:
 
     def index(self, symbol: str) -> int:
         try:
-            return self._rank[symbol]
+            return self._ladder[symbol][0]
         except KeyError:
             raise ValueError(f"symbol {symbol!r} is not in alphabet {self}") from None
 
@@ -64,7 +65,7 @@ class Alphabet:
             raise ValueError(f"symbol {foreign[0]!r} is not in alphabet {self}")
 
     def __contains__(self, symbol):
-        return symbol in self._rank
+        return symbol in self._ladder
 
     def __iter__(self):
         return iter(self.symbols)
@@ -140,21 +141,33 @@ def parikh_vector(alphabet: Alphabet, word: str) -> tuple:
     return tuple(word.count(s) for s in alphabet.symbols)
 
 
-def _parikh_rows(alphabet: Alphabet, word: str):
-    # Integer (s+1)x(s+1) rows built letter by letter: appending the symbol
-    # of rank q adds column q into column q+1.
-    rank = alphabet._rank
-    d = alphabet.size + 1
+def _read(rows, positions: dict, word: str) -> None:
+    """rows <- rows M_v(word) in place, for the pattern v given by its
+    `_positions` and upper triangular rows (as every M_v(u) is).
+
+    M_v(x) is the identity plus a 1 at (k, k+1) for each position k of v
+    that holds x, so reading x adds column k into column k+1, where only
+    rows 0..k are non-zero; descending positions read column k before the
+    same letter has advanced it.
+    """
+    for ch in word:
+        for k in positions.get(ch, ()):
+            for row in rows[: k + 1]:
+                row[k + 1] += row[k]
+
+
+def _identity(d: int) -> list:
     rows = [[0] * d for _ in range(d)]
     for i, row in enumerate(rows):
         row[i] = 1
-    for ch in word:
-        try:
-            q = rank[ch]
-        except KeyError:
-            raise ValueError(f"symbol {ch!r} is not in alphabet {alphabet}") from None
-        for i in range(q + 1):
-            rows[i][q + 1] += rows[i][q]
+    return rows
+
+
+def _parikh_rows(alphabet: Alphabet, word: str):
+    """The integer rows of M_v(word) for the ladder v = a_1 ... a_s."""
+    alphabet.validate(word)
+    rows = _identity(alphabet.size + 1)
+    _read(rows, alphabet._ladder, word)
     return rows
 
 

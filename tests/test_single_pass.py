@@ -1,9 +1,11 @@
 """The single-pass paths against brute-force oracles.
 
 `canonicalize` finds the least rotation from the longest runs of the least
-letter and takes the period from where the canonical word recurs in its
-square; the oracle tries every rotation and takes the period from
-`primitive_root`.  One scanner lists the CE1 and CE2 sites; the oracle
+letter and takes the period from `primitive_root`, where the word recurs
+in its square; the oracle tries every rotation and takes the period from
+the number of distinct rotations.  `primitive_root` and `conjugacy_class`
+are checked against their divisor-loop and seen-set definitions, and the
+slender representatives against the rotation classes.  One scanner lists the CE1 and CE2 sites; the oracle
 splits every rotation into x·head·y·tail and evaluates the side conditions
 as the paper states them.
 """
@@ -16,6 +18,8 @@ import pytest
 from circparikh import (
     Alphabet,
     canonicalize,
+    circular,
+    conjugacy_class,
     enumerate_necklaces,
     find_ce1,
     find_ce2,
@@ -34,7 +38,7 @@ def least_rotation_oracle(alphabet, word):
     ranks = [alphabet.index(ch) for ch in word]
     r = min(range(len(word)), key=lambda r: ranks[r:] + ranks[:r], default=0)
     canonical = word[r:] + word[:r]
-    return canonical, primitive_root(canonical)
+    return canonical, canonical[: len({word[i:] + word[:i] for i in range(len(word))})]
 
 
 def duval_oracle(alphabet, word):
@@ -93,6 +97,50 @@ def rotated_powers(draw):
 def test_canonicalize_on_rotated_powers(case):
     symbols, word = case
     assert_matches_oracle(Alphabet(symbols), word)
+
+
+def divisor_root(word):
+    """The shortest prefix v with word = v^k, trying each divisor of |word|."""
+    n = len(word)
+    return next((word[:d] for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word), "")
+
+
+def seen_set_class(word):
+    """The distinct cyclic shifts, in shift order, each kept the first time seen."""
+    members = []
+    for i in range(max(len(word), 1)):
+        if word[i:] + word[:i] not in members:
+            members.append(word[i:] + word[:i])
+    return members
+
+
+def assert_period_matches_definitions(word):
+    assert primitive_root(word) == divisor_root(word), word
+    assert conjugacy_class(word) == seen_set_class(word), word
+
+
+@pytest.mark.parametrize("symbols, max_n", [("ab", 12), ("abc", 8)])
+def test_period_matches_definitions_exhaustively(symbols, max_n):
+    for n in range(max_n + 1):
+        for letters in itertools.product(symbols, repeat=n):
+            assert_period_matches_definitions("".join(letters))
+
+
+@hypothesis.settings(max_examples=400)
+@hypothesis.given(rotated_powers())
+def test_period_on_rotated_powers(case):
+    _, word = case
+    assert_period_matches_definitions(word)
+
+
+@pytest.mark.parametrize("symbols", ["a", "ba", "cab", "abcd"])
+def test_slender_representatives_hit_each_rotation_class_once(monkeypatch, symbols):
+    patterns = []
+    monkeypatch.setattr(circular, "direct_count", lambda cw, pattern: patterns.append(pattern) or 0)
+    circular.slender_partition_check(canonicalize(Alphabet(symbols), symbols))
+    classes = [frozenset(seen_set_class(u)) for u in patterns]
+    every = {frozenset(seen_set_class("".join(p))) for p in itertools.permutations(symbols)}
+    assert len(classes) == len(set(classes)) and set(classes) == every
 
 
 @st.composite

@@ -6,6 +6,9 @@ state per letter along the prefix tree (`enumeration._walk`).  The
 oracles recompute everything for each word from scratch, as the suites
 used to: `_words_up_to`, `permutation_identity_check`, `_parikh_rows`,
 `_count` and `m_equivalent`.  The call counts pin the sharing itself.
+The reader `words._read` behind `_parikh_rows` and the walk's step is
+checked entry by entry against `_count`, and for composition: reading w,
+then u, is reading w·u.
 """
 
 import functools
@@ -15,9 +18,9 @@ from functools import partial
 import pytest
 
 from circparikh import Alphabet, canonicalize, circular, enumeration, m_equivalent, words
-from circparikh.enumeration import _extend_counts, _extend_rows, _walk, _words_up_to
+from circparikh.enumeration import _extend_counts, _walk, _words_up_to
 from circparikh.rewriting import _swaps
-from circparikh.words import _count, _parikh_rows, _positions, permutation_identity_check
+from circparikh.words import _count, _parikh_rows, _positions, _read, permutation_identity_check
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -57,12 +60,47 @@ def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel)
     assert set(oracle) == ({True} if not relabel else {True, False})
 
 
+def factor_counts(word, pattern):
+    """M_v(word) by its defining identity: entry (i, j) counts v[i:j] in
+    the word for i <= j, and is 0 below the diagonal."""
+    d = len(pattern) + 1
+    return [[_count(word, pattern[i:j]) if i <= j else 0 for j in range(d)] for i in range(d)]
+
+
+def read(pattern, word):
+    rows = factor_counts("", pattern)  # the identity
+    _read(rows, _positions(pattern), word)
+    return rows
+
+
 @pytest.mark.parametrize("spec, max_n", [("a,b,c", 7), ("c,a,b", 6), ("a,b,c,d", 5)])
-def test_walked_parikh_rows_match_parikh_rows(spec, max_n):
+def test_read_ladder_rows_count_factors(spec, max_n):
+    # Each word is also read as its prefix and then its last letter: the
+    # `linear-rules` walk step.
     alphabet = Alphabet.parse(spec)
-    step = partial(_extend_rows, alphabet._rank)
-    for w, rows in _walk(alphabet.symbols, max_n, _parikh_rows(alphabet, ""), step):
-        assert rows == _parikh_rows(alphabet, w), w
+    ladder = "".join(alphabet.symbols)
+    for w in _words_up_to(alphabet.symbols, max_n):
+        rows = _parikh_rows(alphabet, w)
+        assert rows == factor_counts(w, ladder), w
+        walked = _parikh_rows(alphabet, w[:-1])
+        _read(walked, _positions(ladder), w[-1:])
+        assert walked == rows, w
+
+
+patterns = st.text(alphabet="abc", min_size=1, max_size=6)
+texts = st.text(alphabet="abcd", max_size=12)
+
+
+@hypothesis.given(patterns, texts)
+def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
+    assert read(pattern, word) == factor_counts(word, pattern)
+
+
+@hypothesis.given(patterns, texts, texts)
+def test_reading_w_then_u_is_reading_wu(pattern, w, u):
+    rows = read(pattern, w)
+    _read(rows, _positions(pattern), u)
+    assert rows == read(pattern, w + u)
 
 
 def always_holds(swaps):
