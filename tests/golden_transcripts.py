@@ -118,6 +118,9 @@ CASES = (
     # No negative minor over a,b,c up to length 9; the [abcd] witness over a,b,c,d.
     Case("search-minor-abc-9", ("search-minor", "-a", "a,b,c", "--max-length", "9")),
     Case("search-minor-abcd-6", ("search-minor", "-a", "a,b,c,d", "--max-length", "6")),
+    # Keys with denominators of 7 (246 classes); the 2x2-only binary minor set.
+    Case("classes-abc-7-text", ("classes", "-a", "a,b,c", "--length", "7")),
+    Case("search-minor-ab-12", ("search-minor", "-a", "a,b", "--max-length", "12")),
     # A foreign symbol exits 64 naming the first one in word order.
     Case("usage-count-foreign-word", ("count", "[abzcy]", "ab")),
     Case("usage-count-foreign-subword", ("count", "--mode", "direct", "[abc]", "ad")),
