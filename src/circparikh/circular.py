@@ -214,7 +214,10 @@ def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
     Entry (i, j+1) equals avg_count of the ladder subword a_i ... a_j;
     entries are exact rationals.
     """
-    return _class_average(_ladder_sums(cw), cw.length)
+    n = max(cw.length, 1)
+    # The kernel's sums are n times a unitriangular matrix: no re-validation.
+    sums = _ladder_sums(cw)
+    return UnitriangularMatrix._trusted(tuple(tuple(Fraction(e, n) for e in row) for row in sums))
 
 
 def _ladder_sums(cw: CircularWord) -> tuple:
@@ -222,13 +225,6 @@ def _ladder_sums(cw: CircularWord) -> tuple:
     circular Parikh matrix.  Equal sums iff equal matrices, since each fixes
     |w| (diagonal / superdiagonal total)."""
     return tuple(map(tuple, _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))))
-
-
-def _class_average(sums, length: int) -> UnitriangularMatrix:
-    """The ladder rotation sums of a word of this length, divided by the length."""
-    n = max(length, 1)
-    # The kernel's sums are n times a unitriangular matrix: no re-validation.
-    return UnitriangularMatrix._trusted(tuple(tuple(Fraction(e, n) for e in row) for row in sums))
 
 
 def binary_closed_form(na: int, nb: int) -> UnitriangularMatrix:
@@ -288,13 +284,17 @@ def _power_holds(cw: CircularWord, p: int) -> bool:
     n = max(|w|, 1) and T_p those of [w^p] over L_p = max(p |w|, 1).
 
     Since rot_{k+|w|}(w^p) = rot_k(w^p), T_p = p S with S the sums over the
-    first |w| shifts of w^p, so the test is n^(p-1) S = T^p; for λ, S = T = I.
+    first |w| shifts of w^p, so the test is n^(p-1) S = T^p; for λ, S = T = I,
+    and for p = 1, S = T.
     """
     sums = _ladder_sums(cw)
     power = sums
     for _ in range(p - 1):
         power = _tri_mul(power, sums)
-    shifted = _rotation_sums(cw.canonical * p, "".join(cw.alphabet.symbols), cw.length)
+    if p == 1:
+        shifted = sums
+    else:
+        shifted = _rotation_sums(cw.canonical * p, "".join(cw.alphabet.symbols), cw.length)
     scale = max(cw.length, 1) ** (p - 1)
     return all(scale * e_s == e for row_s, row in zip(shifted, power) for e_s, e in zip(row_s, row))
 
@@ -312,10 +312,20 @@ def weak_ratio(alphabet: Alphabet, u: str, v: str) -> bool:
 def product_identity_check(cw: CircularWord) -> bool:
     """Check that the avg_count values of all s! full-alphabet permutation
     words sum to the product of the single-letter counts: in integers, that
-    their rotation sums add up to n times the product, n = max(|w|, 1)."""
-    w, syms = cw.canonical, cw.alphabet.symbols
-    total = sum(_rotation_sums(w, "".join(p))[0][-1] for p in itertools.permutations(syms))
-    return total == max(cw.length, 1) * math.prod(w.count(s) for s in syms)
+    their rotation sums add up to n times the product, n = max(|w|, 1).
+
+    The s rotations of a permutation π are the length-s factors of
+    π·π[:-1], so one kernel call on that pattern yields all their sums, at
+    the entries (i, i+s): one call per permutation that starts with the
+    least symbol."""
+    w = cw.canonical
+    least, *rest = syms = cw.alphabet.symbols
+    s, total = len(syms), 0
+    for p in itertools.permutations(rest):
+        pi = least + "".join(p)
+        sums = _rotation_sums(w, pi + pi[:-1])
+        total += sum(sums[i][i + s] for i in range(s))
+    return total == max(cw.length, 1) * math.prod(w.count(x) for x in syms)
 
 
 def slender_partition_check(cw: CircularWord) -> bool:

@@ -18,11 +18,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from . import circular
 from .circular import (
     CircularWord,
-    _class_average,
     _ladder_sums,
     canonicalize,
     circular_inverse_alternate_check,
@@ -122,7 +122,8 @@ class MEquivClassReport:
         rows = []
         for key, members in self.classes.items():
             for word in members:
-                rows.append((word, len(primitive_root(word)) if word else 1, key))
+                size = CircularWord(self.alphabet, word, primitive_root(word)).class_size
+                rows.append((word, size, key))
         for word, size, key in sorted(rows):
             writer.writerow([f"[{word}]", size, key])
         return buf.getvalue()
@@ -139,11 +140,17 @@ def _necklace_classes(alphabet: Alphabet, n: int, key=_ladder_sums) -> dict:
 
 def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
     """Group the necklaces of length n by their matrix key; two members of
-    a group are M-equivalent, members of different groups are not."""
+    a group are M-equivalent, members of different groups are not.
+
+    The key is `UnitriangularMatrix.key` of the circular Parikh matrix,
+    formatted from the strictly-upper ladder sums over max(n, 1)."""
+    scale = max(n, 1)
+
+    def key(sums):
+        return ",".join(str(Fraction(e, scale)) for i, row in enumerate(sums) for e in row[i + 1 :])
+
     classes = _necklace_classes(alphabet, n)
-    return MEquivClassReport(
-        alphabet, n, {_class_average(sums, n).key(): tuple(v) for sums, v in classes.items()}
-    )
+    return MEquivClassReport(alphabet, n, {key(sums): tuple(v) for sums, v in classes.items()})
 
 
 @dataclass(frozen=True)
@@ -452,18 +459,22 @@ class MinorWitness:
 
 
 def _int_det(matrix) -> int:
+    """Determinant of a square integer matrix: closed forms up to 3 x 3,
+    Laplace expansion along the first row beyond."""
     k = len(matrix)
     if k == 1:
         return matrix[0][0]
     if k == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     total = 0
     sign = 1
     for j in range(k):
         if matrix[0][j]:
-            sub = [
-                [row[col] for col in range(k) if col != j] for row in matrix[1:]
-            ]
+            sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
             total += sign * matrix[0][j] * _int_det(sub)
         sign = -sign
     return total
@@ -490,18 +501,21 @@ def search_negative_minor(alphabet: Alphabet, max_n: int) -> MinorWitness | None
 
     The scan order (length, then canonical word, then minor size, then
     index tuples) is deterministic.  Determinants are taken on the integer
-    matrix scaled by the word length, which has the same sign; the reported
-    value is rescaled to the true minor of the rational matrix.  Minors
-    that cannot be negative (see `_minor_pairs`) are skipped.
+    ladder sums, the matrix scaled by the word length, which has the same
+    sign; the reported value is rescaled to the true minor of the rational
+    matrix.  Minors that cannot be negative (see `_minor_pairs`) are
+    skipped.  Each kept pair reads its columns with one `itemgetter`, and
+    the 2 x 2 and 3 x 3 minors, all that alphabets of size up to 3 keep,
+    are closed forms (`_int_det`).
     """
     if max_n < 0:
         raise ValueError("length must be non-negative")
-    pairs = _minor_pairs(alphabet.size + 1)
+    pairs = [(r, c, itemgetter(*c)) for r, c in _minor_pairs(alphabet.size + 1)]
     for n in range(max_n + 1):
         for cw in enumerate_necklaces(alphabet, n):
             rows = _ladder_sums(cw)
-            for row_idx, col_idx in pairs:
-                det = _int_det([[rows[i][j] for j in col_idx] for i in row_idx])
+            for row_idx, col_idx, columns in pairs:
+                det = _int_det([columns(rows[i]) for i in row_idx])
                 if det < 0:
                     return MinorWitness(
                         cw.canonical,

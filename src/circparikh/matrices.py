@@ -31,15 +31,18 @@ def parse_rational(text: str) -> Fraction:
 def _tri_mul(a, b) -> tuple:
     """Product of two upper triangular matrices given as rows."""
     d = len(a)
-    # Only k in [i, j] contributes for triangular factors; below the
-    # diagonal the product keeps a's zero, of a's entry type.
-    return tuple(
-        tuple(
-            sum(a[i][k] * b[k][j] for k in range(i, j + 1)) if j >= i else a[i][j]
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+    product = []
+    for i, row in enumerate(a):
+        # Below the diagonal the product keeps a's zeros, of a's entry type;
+        # only k in [i, j] contributes for triangular factors.
+        out = list(row[:i])
+        for j in range(i, d):
+            total = 0
+            for k in range(i, j + 1):
+                total += row[k] * b[k][j]
+            out.append(total)
+        product.append(tuple(out))
+    return tuple(product)
 
 
 def _alternating(rows) -> tuple:

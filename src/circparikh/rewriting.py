@@ -63,7 +63,7 @@ def apply_e1(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one ac <-> ca factor swap."""
     _require_ternary(alphabet)
     alphabet.validate(word)
-    _, ac, ca, _ = _swaps(alphabet, "CE1")[0]
+    ((_, ac, ca),) = _factors(alphabet, "CE1")
     out = set()
     for i in range(len(word) - 1):
         pair = word[i : i + 2]
@@ -82,7 +82,7 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
     b = alphabet.symbols[1]
     n = len(word)
     out = set()
-    for alpha, head, tail, _ in _swaps(alphabet, "CE2"):
+    for alpha, head, tail in _factors(alphabet, "CE2"):
         allowed = {alpha, b}
         for i in range(n - 3):
             first = word[i : i + 2]
@@ -120,17 +120,23 @@ def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     )
 
 
-def _swaps(alphabet: Alphabet, rule: str) -> tuple:
-    """The swaps x·head·y·tail -> x·tail·y·head of `rule` as (α, head, tail,
-    condition), where condition(x, y) gives both sides of the side condition:
-    one swap for CE1 (α None), one per α in {a, c} for CE2.  E1 and E2 swap
-    the same factors."""
+def _factors(alphabet: Alphabet, rule: str) -> tuple:
+    """The factor pairs x·head·y·tail -> x·tail·y·head of `rule` as (α, head,
+    tail): one for CE1 (α None), one per α in {a, c} for CE2.  E1 and E2
+    swap the same factors."""
     a, b, c = alphabet.symbols
     if rule == "CE1":
-        return ((None, a + c, c + a, partial(ce1_condition, alphabet)),)
+        return ((None, a + c, c + a),)
+    return ((a, a + b, b + a), (c, c + b, b + c))
+
+
+def _swaps(alphabet: Alphabet, rule: str) -> tuple:
+    """The `_factors` of `rule` as (α, head, tail, condition), where
+    condition(x, y) gives both sides of the side condition."""
+    if rule == "CE1":
+        return tuple((*f, partial(ce1_condition, alphabet)) for f in _factors(alphabet, rule))
     return tuple(
-        (alpha, alpha + b, b + alpha, partial(ce2_condition, alphabet, alpha=alpha))
-        for alpha in (a, c)
+        (*f, partial(ce2_condition, alphabet, alpha=f[0])) for f in _factors(alphabet, rule)
     )
 
 

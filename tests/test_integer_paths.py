@@ -3,9 +3,11 @@
 The oracles are the code these paths replaced: necklaces found by running
 `canonicalize` on every word, the power, inverse-alternate and binary
 closed-form identities taken on `Fraction` matrices, the permutation-sum
-identity on `Fraction` averages, class keys formatted per necklace, and
-the minor scan over every square minor.  The public matrix algebra, itself
-plain `Fraction` arithmetic, is checked entry by entry.
+identity on `Fraction` averages and on one kernel call per permutation,
+class keys formatted per necklace, and the minor scan over every square
+minor with a Leibniz determinant.  The public matrix algebra, itself plain
+`Fraction` arithmetic, and the integer triangular product are checked entry
+by entry.
 """
 
 import itertools
@@ -27,9 +29,10 @@ from circparikh import (
     product_identity_check,
     search_negative_minor,
 )
-from circparikh import enumeration
+from circparikh import circular, enumeration
 from circparikh.circular import _inverse_alternate_holds, _power_holds, _rotation_sums
 from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
+from circparikh.matrices import _tri_mul
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -115,6 +118,33 @@ def test_product_identity_matches_fraction_sum(spec, max_n):
     assert seen == {True}
 
 
+@pytest.mark.parametrize("spec", ["a,b", "a,b,c", "a,b,c,d"])
+def test_one_covering_call_sums_every_rotation(monkeypatch, spec):
+    # The check calls the kernel once per permutation π that starts with the
+    # least symbol, on π·π[:-1], whose entry (i, i+s) sums rotation i of π.
+    alphabet = Alphabet.parse(spec)
+    least, *rest = alphabet.symbols
+    s = alphabet.size
+    coverings = [least + "".join(p) for p in itertools.permutations(rest)]
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _rotation_sums(*args)
+
+    monkeypatch.setattr(circular, "_rotation_sums", recording)
+    for n in range(7):
+        for cw in enumerate_necklaces(alphabet, n):
+            w = cw.canonical
+            calls.clear()
+            product_identity_check(cw)
+            assert calls == [(w, pi + pi[:-1]) for pi in coverings], cw
+            for pi in coverings:
+                sums = _rotation_sums(w, pi + pi[:-1])
+                for i in range(s):
+                    assert sums[i][i + s] == _rotation_sums(w, pi[i:] + pi[:i])[0][-1], (cw, pi, i)
+
+
 def mul_oracle(a, b):
     d = len(a)
     return [
@@ -171,6 +201,51 @@ def test_integer_algebra_matches_fraction_oracle(pair, p):
 
 
 @st.composite
+def integer_upper_pairs(draw):
+    # Ladder sums have the word length, not 1, on the diagonal.
+    d = draw(st.integers(1, 5))
+
+    def one():
+        return tuple(
+            tuple(draw(st.integers(-60, 60)) if j >= i else 0 for j in range(d)) for i in range(d)
+        )
+
+    return one(), one()
+
+
+@hypothesis.given(integer_upper_pairs())
+def test_integer_triangular_product_matches_oracle(pair):
+    a, b = pair
+    product = _tri_mul(a, b)
+    assert [list(row) for row in product] == mul_oracle(a, b)
+    assert all(type(e) is int for row in product for e in row)
+
+
+def leibniz_det(matrix):
+    """The sum over permutations σ of sign(σ) times the product of the
+    entries (i, σ(i)), the sign from the count of inversions."""
+    k = len(matrix)
+    total = 0
+    for sigma in itertools.permutations(range(k)):
+        inversions = sum(sigma[u] > sigma[v] for u, v in itertools.combinations(range(k), 2))
+        total += (-1) ** inversions * math.prod(matrix[i][sigma[i]] for i in range(k))
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    k = draw(st.integers(1, 5))
+    return [[draw(st.integers(-30, 30)) for _ in range(k)] for _ in range(k)]
+
+
+@hypothesis.given(square_matrices())
+def test_int_det_matches_leibniz(matrix):
+    # The minor search hands `_int_det` tuple rows, the tests list rows.
+    assert _int_det(matrix) == leibniz_det(matrix)
+    assert _int_det([tuple(row) for row in matrix]) == leibniz_det(matrix)
+
+
+@st.composite
 def nonnegative_upper(draw):
     d = draw(st.integers(1, 5))
     return [[draw(st.integers(0, 9)) if j >= i else 0 for j in range(d)] for i in range(d)]
@@ -184,7 +259,7 @@ def test_skipped_minors_are_nonnegative(matrix):
         for rows in itertools.combinations(range(d), k):
             for cols in itertools.combinations(range(d), k):
                 if (rows, cols) not in kept:
-                    assert _int_det([[matrix[i][j] for j in cols] for i in rows]) >= 0
+                    assert leibniz_det([[matrix[i][j] for j in cols] for i in rows]) >= 0
 
 
 def all_minor_pairs(d):
@@ -211,7 +286,7 @@ def minor_oracle(alphabet, max_n):
         for cw in necklace_oracle(alphabet, n):
             rows = _rotation_sums(cw.canonical, ladder)
             for r, c in pairs:
-                det = _int_det([[rows[i][j] for j in c] for i in r])
+                det = leibniz_det([[rows[i][j] for j in c] for i in r])
                 if det < 0:
                     return MinorWitness(
                         cw.canonical,

@@ -2,10 +2,12 @@
 
 `binary-closed-form` and `ce1-iff`/`ce2-iff` take each necklace's ladder
 sums once per run; `product-identity` and `linear-rules` extend one DP
-state per letter along the prefix tree (`enumeration._walk`).  The
-oracles recompute everything for each word from scratch, as the suites
-used to: `_words_up_to`, `permutation_identity_check`, `_parikh_rows`,
-`_count` and `m_equivalent`.  The call counts pin the sharing itself.
+state per letter along the prefix tree (`enumeration._walk`), and the
+circular checks of `power` and `product-identity` make a pinned number of
+kernel calls.  The oracles recompute everything for each word from
+scratch, as the suites used to: `_words_up_to`,
+`permutation_identity_check`, `_parikh_rows`, `_count` and
+`m_equivalent`.  The call counts pin the sharing itself.
 The reader `words._read` behind `_parikh_rows` and the walk's step is
 checked entry by entry against `_count`, and for composition: reading w,
 then u, is reading w·u.
@@ -153,6 +155,21 @@ def test_one_kernel_call_per_necklace(monkeypatch, suite, calls):
     kernel_calls = []
     monkeypatch.setattr(circular, "_rotation_sums", counting(kernel_calls, circular._rotation_sums))
     assert enumeration.run_suite(suite).passed
+    assert len(kernel_calls) == calls
+
+
+# Over the 1 469 necklaces of `power` and `product-identity` (94 binary,
+# 1 375 ternary): power takes T once per (necklace, p) and the sums of
+# w^p for p >= 2, 10 283 calls; product-identity one call per permutation
+# that starts with the least symbol, 94 + 2 * 1 375 = 2 844.
+@pytest.mark.parametrize(
+    "suite, calls, checked", [("power", 10283, 5876), ("product-identity", 2844, 11821)]
+)
+def test_kernel_calls_of_power_and_product_identity(monkeypatch, suite, calls, checked):
+    kernel_calls = []
+    monkeypatch.setattr(circular, "_rotation_sums", counting(kernel_calls, circular._rotation_sums))
+    result = enumeration.run_suite(suite)
+    assert (result.passed, result.checked) == (True, checked)
     assert len(kernel_calls) == calls
 
 
