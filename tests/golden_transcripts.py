@@ -47,6 +47,13 @@ _LADDER_SUMS_ARE_WORDS = (
     lambda sums: lambda cw: cw.canonical,
     "the canonical word",
 )
+# Turning ab into ba lowers |w|_ab by one, so each such result fails.
+_E1_ALSO_SWAPS_AB = (
+    "circparikh.enumeration",
+    "apply_e1",
+    lambda e1: lambda alphabet, w: e1(alphabet, w) | {w.replace("ab", "ba", 1)} - {w},
+    "also w with its first ab turned into ba",
+)
 
 CASES = (
     *(Case(f"{s}-default", ("verify", "--suite", s)) for s in SUITE_NAMES),
@@ -79,6 +86,7 @@ CASES = (
         _POWER_FAILS_AT_2,
     ),
     Case("failing-ce2-iff", ("verify", "--suite", "ce2-iff"), _LADDER_SUMS_ARE_WORDS),
+    Case("failing-linear-rules", ("verify", "--suite", "linear-rules"), _E1_ALSO_SWAPS_AB),
     # abbcaaacbaca has valid and invalid sites of both rules.
     *(
         Case(f"rules-{rule}-{word}", ("rules", "--rule", rule, word))
