@@ -171,9 +171,12 @@ def _rotation_sums(word: str, pattern: str, shifts: int | None = None) -> list:
     rotation changes only row k and column k+1 at each, so it costs O(m)
     per position and O(n m) for the alphabet ladder; a letter absent from
     the pattern costs O(1).
-    The sums are accumulated lazily: an entry that ends at e after changing
-    by d_s at each rotation step s sums to shifts * e - (the sum of d_s * s),
-    so a change records d_s * s alone and no step adds up the matrix.
+    The sums grow as the rotation goes, never adding up a whole matrix:
+    they start at shifts * M_v(word), and a change d at step s stays
+    in the last shifts - s of the summed matrices, so it adds (shifts - s) d.
+    Entry (k, k+1) counts the letter pattern[k], which no rotation changes
+    (the row operation's -1 and the column operation's +1 cancel), so both
+    operations skip it.
     """
     m = len(pattern)
     positions = _positions(pattern)
@@ -182,19 +185,20 @@ def _rotation_sums(word: str, pattern: str, shifts: int | None = None) -> list:
     if not word:
         return rows
     shifts = len(word) if shifts is None else shifts
-    correction = [[0] * (m + 1) for _ in rows]
+    sums = [[shifts * e for e in row] for row in rows]
     # Step s rotates word[s - 1] to the back.  Row and column operations
     # commute, so they may interleave; both visit the positions descending.
     for step in range(1, shifts):
+        weight = shifts - step
         for k in positions.get(word[step - 1], ()):
-            upper, lower, fix = rows[k], rows[k + 1], correction[k]
-            for j in range(k + 1, m + 1):  # rows <- M(x)^-1 rows
+            upper, lower, total = rows[k], rows[k + 1], sums[k]
+            for j in range(k + 2, m + 1):  # rows <- M(x)^-1 rows
                 upper[j] -= lower[j]
-                fix[j] += lower[j] * step
-            for row, crow in zip(rows[: k + 1], correction):  # rows <- rows M(x)
+                total[j] -= lower[j] * weight
+            for row, total in zip(rows[:k], sums):  # rows <- rows M(x)
                 row[k + 1] += row[k]
-                crow[k + 1] -= row[k] * step
-    return [[shifts * e + c for e, c in zip(row, crow)] for row, crow in zip(rows, correction)]
+                total[k + 1] += row[k] * weight
+    return sums
 
 
 def avg_count(cw: CircularWord, pattern: str) -> Fraction:
@@ -260,10 +264,17 @@ def circular_inverse_alternate_check(cw: CircularWord) -> bool:
 
 
 def _inverse_alternate_holds(cw: CircularWord) -> bool:
+    """The inverse-alternate identity for [w], from its ladder sums and
+    those of its mirror."""
+    return _sums_inverse_alternate(
+        _ladder_sums(cw), _ladder_sums(mirror_class(cw)), max(cw.length, 1)
+    )
+
+
+def _sums_inverse_alternate(sums, mirror_sums, n: int) -> bool:
     """M^-1 = alt(M') iff M alt(M') = I iff T alt(T') = n^2 I, with T and T'
     the ladder sums of [w] and of its mirror and n = max(|w|, 1)."""
-    n = max(cw.length, 1)
-    product = _tri_mul(_ladder_sums(cw), _alternating(_ladder_sums(mirror_class(cw))))
+    product = _tri_mul(sums, _alternating(mirror_sums))
     return all(
         e == (n * n if i == j else 0) for i, row in enumerate(product) for j, e in enumerate(row)
     )

@@ -146,3 +146,28 @@ def test_m_equivalent_exhaustive_small_across_lengths():
         matrices = {cw: circular_parikh_matrix(cw) for cw in classes}
         for cw1, cw2 in itertools.product(classes, repeat=2):
             assert m_equivalent(cw1, cw2) == (matrices[cw1] == matrices[cw2])
+
+
+def first_shift_sums(word, pattern):
+    """count_oracle(word, pattern, first) for first = 0, 1, ..., |word|."""
+    d = len(pattern) + 1
+    total = [[0] * d for _ in range(d)]
+    out = [[row.copy() for row in total]]
+    for u in shifts(word):
+        for i in range(d):
+            for j in range(i, d):
+                total[i][j] += subword_count(u, pattern[i:j])
+        out.append([row.copy() for row in total])
+    return out
+
+
+def test_every_shift_count_exhaustive_small():
+    # Adjacent repeated letters in the pattern are where the kernel's skipped
+    # letter-count entries (k, k+1) and (k+1, k+2) meet.
+    patterns = list(words_up_to("ab", 4))
+    for word in words_up_to("ab", 7):
+        if not word:  # λ sums to the identity for every shift count
+            continue
+        for pattern in patterns:
+            for first, expected in enumerate(first_shift_sums(word, pattern)):
+                assert _rotation_sums(word, pattern, first) == expected, (word, pattern, first)

@@ -1,13 +1,15 @@
 """The shared work of the exhaustive suites against per-word recomputation.
 
-`binary-closed-form` and `ce1-iff`/`ce2-iff` take each necklace's ladder
-sums once per run; `product-identity` and `linear-rules` extend one DP
-state per letter along the prefix tree (`enumeration._walk`), and the
-circular checks of `power` and `product-identity` make a pinned number of
-kernel calls.  The oracles recompute everything for each word from
-scratch, as the suites used to: `_words_up_to`,
-`permutation_identity_check`, `_parikh_rows`, `_count` and
-`m_equivalent`.  The call counts pin the sharing itself.
+`binary-closed-form`, `ce1-iff`/`ce2-iff` and `inverse-alternate` take
+each necklace's ladder sums once per run; `product-identity` and
+`linear-rules` extend one DP state per letter along the prefix tree
+(`enumeration._walk`), and `linear-rules` looks each rewrite up among the
+words of its length; the circular checks of `power` and `product-identity`
+make a pinned number of kernel calls.  The oracles recompute everything
+for each word from scratch, as the suites used to: `_words_up_to`,
+`permutation_identity_check`, `_parikh_rows`, `_count`, `m_equivalent`
+and `circular_inverse_alternate_check`.  The call counts pin the sharing
+itself.
 The reader `words._read` behind `_parikh_rows` and the walk's step is
 checked entry by entry against `_count`, and for composition: reading w,
 then u, is reading w·u.
@@ -19,7 +21,16 @@ from functools import partial
 
 import pytest
 
-from circparikh import Alphabet, canonicalize, circular, enumeration, m_equivalent, words
+from circparikh import (
+    Alphabet,
+    SuiteLimits,
+    canonicalize,
+    circular,
+    circular_inverse_alternate_check,
+    enumeration,
+    m_equivalent,
+    words,
+)
 from circparikh.enumeration import _extend_counts, _walk, _words_up_to
 from circparikh.rewriting import _swaps
 from circparikh.words import _count, _parikh_rows, _positions, _read, permutation_identity_check
@@ -146,10 +157,17 @@ def counting(calls, kernel):
 
 
 # The kernel calls at the default bounds: one per necklace, the necklaces
-# being 802 binary ones up to length 12 (`binary-mequiv` checks as many) and
-# 1266 / 2213 ternary ones among the CE1 / CE2 swap pairs.
+# being 802 binary ones up to length 12 (`binary-mequiv` checks as many),
+# 1266 / 2213 ternary ones among the CE1 / CE2 swap pairs and the 1 469 of
+# `inverse-alternate` (94 binary, 1 375 ternary), whose mirrors are among them.
 @pytest.mark.parametrize(
-    "suite, calls", [("binary-closed-form", 802), ("ce1-iff", 1266), ("ce2-iff", 2213)]
+    "suite, calls",
+    [
+        ("binary-closed-form", 802),
+        ("ce1-iff", 1266),
+        ("ce2-iff", 2213),
+        ("inverse-alternate", 1469),
+    ],
 )
 def test_one_kernel_call_per_necklace(monkeypatch, suite, calls):
     kernel_calls = []
@@ -178,3 +196,53 @@ def test_product_identity_counts_no_word_from_scratch(monkeypatch):
     monkeypatch.setattr(words, "_count", counting(count_calls, words._count))
     assert enumeration.run_suite("product-identity").passed
     assert count_calls == []
+
+
+def test_linear_rules_reads_only_the_root_from_scratch(monkeypatch):
+    rows_calls = []
+    monkeypatch.setattr(enumeration, "_parikh_rows", counting(rows_calls, _parikh_rows))
+    assert enumeration.run_suite("linear-rules").passed
+    assert rows_calls == [(ABC, "")]
+
+
+@pytest.mark.parametrize(
+    "extra", [lambda w: w + "a", lambda w: "d" + w[1:]], ids=["longer", "foreign-letter"]
+)
+def test_linear_rules_fails_a_result_outside_the_level(monkeypatch, extra):
+    # Each word gets one more result that is no word of its length: every
+    # word fails once, and the suite raises nothing.
+    apply_e1 = enumeration.apply_e1
+    monkeypatch.setattr(enumeration, "apply_e1", lambda a, w: apply_e1(a, w) | {extra(w)})
+    word_count = sum(3**n for n in range(5))
+    limits = SuiteLimits(max_length=4, failure_cap=word_count)
+    result = enumeration.run_suite("linear-rules", limits)
+    assert result.failure_count == word_count
+    assert result.failures[-1] == f"cccc -> {extra('cccc')}: linear Parikh matrix changed"
+
+
+def top_right_raised(ladder_sums):
+    """`_ladder_sums` with entry (0, s) raised by one for the necklaces whose
+    canonical word ends in the last symbol."""
+
+    def stand_in(cw):
+        top, *rest = sums = ladder_sums(cw)
+        if not cw.canonical.endswith(cw.alphabet.symbols[-1]):
+            return sums
+        return (top[:-1] + (top[-1] + 1,), *rest)
+
+    return stand_in
+
+
+@pytest.mark.parametrize("symbols", ["ab", "abc"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_inverse_alternate_verdicts_match_the_check(monkeypatch, symbols, perturbed):
+    # With perturbed ladder sums, read by the suite and the check alike, some
+    # necklaces fail: both verdicts.
+    if perturbed:
+        monkeypatch.setattr(circular, "_ladder_sums", top_right_raised(circular._ladder_sums))
+    alphabet = Alphabet(symbols)
+    necklaces = [cw for n in range(7) for cw in enumeration.enumerate_necklaces(alphabet, n)]
+    oracle = [circular_inverse_alternate_check(cw) for cw in necklaces]
+    cases = enumeration._suite("inverse-alternate").cases(alphabet, max_length=6)
+    assert [case is None for case in cases] == oracle
+    assert set(oracle) == ({True, False} if perturbed else {True})
