@@ -285,25 +285,26 @@ def circular_power_check(cw: CircularWord, p: int) -> bool:
     p-th power of the matrix of [w]."""
     if cw.alphabet.size > 3:
         raise ValueError("holds only for alphabets of size at most 3")
-    if p < 1:
-        raise ValueError("power must be a positive integer")
+    # bool is an int subclass; True is not a power
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise ValueError(f"power must be a positive integer, got {p!r}")
     return _power_holds(cw, p)
 
 
-def _power_holds(cw: CircularWord, p: int) -> bool:
+def _power_holds(cw: CircularWord, p: int, power=None) -> bool:
     """M_p = M^p iff n^p T_p = L_p T^p, with T the ladder sums of [w] over
     n = max(|w|, 1) and T_p those of [w^p] over L_p = max(p |w|, 1).
 
     Since rot_{k+|w|}(w^p) = rot_k(w^p), T_p = p S with S the sums over the
     first |w| shifts of w^p, so the test is n^(p-1) S = T^p; for λ, S = T = I,
-    and for p = 1, S = T.
+    and for p = 1, S = T.  `power` is T^p when the caller already has it.
     """
-    sums = _ladder_sums(cw)
-    power = sums
-    for _ in range(p - 1):
-        power = _tri_mul(power, sums)
+    if power is None:
+        sums = power = _ladder_sums(cw)
+        for _ in range(p - 1):
+            power = _tri_mul(power, sums)
     if p == 1:
-        shifted = sums
+        shifted = power
     else:
         shifted = _rotation_sums(cw.canonical * p, "".join(cw.alphabet.symbols), cw.length)
     scale = max(cw.length, 1) ** (p - 1)

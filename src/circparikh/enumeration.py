@@ -26,11 +26,11 @@ from .circular import (
     _ladder_sums,
     _sums_inverse_alternate,
     canonicalize,
-    circular_power_check,
     primitive_root,
     product_identity_check,
     slender_partition_check,
 )
+from .matrices import _tri_mul
 from .rewriting import _swaps, apply_e1, apply_e2, naive_rule_failure_examples
 from .words import Alphabet, _parikh_rows, _positions, _read, mirror, parikh_vector
 
@@ -259,9 +259,16 @@ def _binary_closed_form(alphabet, max_length):
 
 
 def _power(alphabet, max_length, max_power):
+    """One case per (necklace, p).  Each necklace's ladder sums T are taken
+    once and T^p kept as a running product, handed to
+    `circular._power_holds`, read at call time: the seam the failing
+    `power` goldens swap."""
     for cw in _necklaces_up_to(alphabet, max_length):
+        sums = power = circular._ladder_sums(cw)
         for p in range(1, max_power + 1):
-            ok = circular_power_check(cw, p)
+            if p > 1:
+                power = _tri_mul(power, sums)
+            ok = circular._power_holds(cw, p, power)
             yield None if ok else f"{cw} p={p}: matrix of the power differs from the power"
 
 

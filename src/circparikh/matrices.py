@@ -97,7 +97,8 @@ class UnitriangularMatrix:
 
     def __pow__(self, exponent: int) -> "UnitriangularMatrix":
         """Exact power by repeated squaring; exponent must be >= 0."""
-        if not isinstance(exponent, int):
+        # bool is an int subclass; True is not an exponent
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ValueError(f"exponent must be an integer, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative powers are not defined here; use inverse()")

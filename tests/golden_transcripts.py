@@ -38,7 +38,7 @@ class Case(NamedTuple):
 _POWER_FAILS_AT_2 = (
     "circparikh.circular",
     "_power_holds",
-    lambda holds: lambda cw, p: p != 2 and holds(cw, p),
+    lambda holds: lambda cw, p, *rest: p != 2 and holds(cw, p, *rest),
     "False for p = 2",
 )
 _LADDER_SUMS_ARE_WORDS = (

@@ -317,6 +317,12 @@ class TestPowerCheck:
         with pytest.raises(ValueError):
             circular_power_check(canonicalize(AB, "ab"), 0)
 
+    @pytest.mark.parametrize("p", [2.0, True])
+    def test_rejects_non_integer_power(self, p):
+        # Neither a float nor a bool, an int subclass, is a power.
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            circular_power_check(canonicalize(AB, "ab"), p)
+
     def test_exhaustive_small(self):
         for symbols, alphabet in (("ab", AB), ("abc", ABC)):
             for w in words_up_to(symbols, 5):

@@ -110,6 +110,13 @@ def test_power_negative_exponent_rejected():
         UnitriangularMatrix.identity(3) ** -1
 
 
+@pytest.mark.parametrize("exponent", [2.0, True, False])
+def test_power_non_integer_exponent_rejected(exponent):
+    # bool is an int subclass, but True is not the exponent 1.
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        UnitriangularMatrix.identity(3) ** exponent
+
+
 def _dim4_power_entries(matrix, p):
     a = matrix.rows
     return {

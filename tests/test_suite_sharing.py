@@ -4,12 +4,13 @@
 each necklace's ladder sums once per run; `product-identity` and
 `linear-rules` extend one DP state per letter along the prefix tree
 (`enumeration._walk`), and `linear-rules` looks each rewrite up among the
-words of its length; the circular checks of `power` and `product-identity`
-make a pinned number of kernel calls.  The oracles recompute everything
-for each word from scratch, as the suites used to: `_words_up_to`,
-`permutation_identity_check`, `_parikh_rows`, `_count`, `m_equivalent`
-and `circular_inverse_alternate_check`.  The call counts pin the sharing
-itself.
+words of its length; `power` takes each necklace's ladder sums once and
+keeps T^p as a running product, and its kernel and product calls and those
+of the circular check of `product-identity` are pinned.  The oracles
+recompute everything for each word from scratch, as the suites used to:
+`_words_up_to`, `permutation_identity_check`, `_parikh_rows`, `_count`,
+`m_equivalent`, `circular_inverse_alternate_check` and the two-argument
+`circular._power_holds`.  The call counts pin the sharing itself.
 The reader `words._read` behind `_parikh_rows` and the walk's step is
 checked entry by entry against `_count`, and for composition: reading w,
 then u, is reading w·u.
@@ -32,6 +33,7 @@ from circparikh import (
     words,
 )
 from circparikh.enumeration import _extend_counts, _walk, _words_up_to
+from circparikh.matrices import _tri_mul
 from circparikh.rewriting import _swaps
 from circparikh.words import _count, _parikh_rows, _positions, _read, permutation_identity_check
 
@@ -177,11 +179,11 @@ def test_one_kernel_call_per_necklace(monkeypatch, suite, calls):
 
 
 # Over the 1 469 necklaces of `power` and `product-identity` (94 binary,
-# 1 375 ternary): power takes T once per (necklace, p) and the sums of
-# w^p for p >= 2, 10 283 calls; product-identity one call per permutation
-# that starts with the least symbol, 94 + 2 * 1 375 = 2 844.
+# 1 375 ternary): power takes T once per necklace and the sums of w^p for
+# p = 2..4, 1 469 + 3 * 1 469 = 5 876 calls; product-identity one call per
+# permutation that starts with the least symbol, 94 + 2 * 1 375 = 2 844.
 @pytest.mark.parametrize(
-    "suite, calls, checked", [("power", 10283, 5876), ("product-identity", 2844, 11821)]
+    "suite, calls, checked", [("power", 5876, 5876), ("product-identity", 2844, 11821)]
 )
 def test_kernel_calls_of_power_and_product_identity(monkeypatch, suite, calls, checked):
     kernel_calls = []
@@ -189,6 +191,15 @@ def test_kernel_calls_of_power_and_product_identity(monkeypatch, suite, calls, c
     result = enumeration.run_suite(suite)
     assert (result.passed, result.checked) == (True, checked)
     assert len(kernel_calls) == calls
+
+
+def test_power_multiplies_once_for_each_p_above_one(monkeypatch):
+    # T^p is a running product: 3 * 1 469 = 4 407 products at p <= 4.
+    product_calls = []
+    for module in (circular, enumeration):
+        monkeypatch.setattr(module, "_tri_mul", counting(product_calls, _tri_mul))
+    assert enumeration.run_suite("power").passed
+    assert len(product_calls) == 4407
 
 
 def test_product_identity_counts_no_word_from_scratch(monkeypatch):
@@ -246,3 +257,27 @@ def test_inverse_alternate_verdicts_match_the_check(monkeypatch, symbols, pertur
     cases = enumeration._suite("inverse-alternate").cases(alphabet, max_length=6)
     assert [case is None for case in cases] == oracle
     assert set(oracle) == ({True, False} if perturbed else {True})
+
+
+@pytest.mark.parametrize("symbols", ["ab", "abc"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_power_verdicts_match_the_check(monkeypatch, symbols, perturbed):
+    # With perturbed ladder sums, read by the suite and the check alike, T^p
+    # misses the sums of w^p for p >= 2 on some necklaces: both verdicts.
+    if perturbed:
+        monkeypatch.setattr(circular, "_ladder_sums", top_right_raised(circular._ladder_sums))
+    alphabet = Alphabet(symbols)
+    necklaces = [cw for n in range(7) for cw in enumeration.enumerate_necklaces(alphabet, n)]
+    oracle = [circular._power_holds(cw, p) for cw in necklaces for p in range(1, 5)]
+    cases = enumeration._suite("power").cases(alphabet, max_length=6, max_power=4)
+    assert [case is None for case in cases] == oracle
+    assert set(oracle) == ({True, False} if perturbed else {True})
+
+
+# [abcd] squared is a quaternary word whose identity fails.
+@hypothesis.example("abcd", 2)
+@hypothesis.given(st.text(alphabet="abcd", max_size=10), st.integers(1, 6))
+def test_power_holds_on_the_running_power_as_on_its_own(word, p):
+    cw = canonicalize(Alphabet("abcd"), word)
+    power = functools.reduce(_tri_mul, [circular._ladder_sums(cw)] * p)
+    assert circular._power_holds(cw, p, power) == circular._power_holds(cw, p)
