@@ -18,6 +18,11 @@ representative, since a circular word has no distinguished start.  The
 swap pattern is matched in its forward orientation only: the reverse
 application of a rule at one rotation is the forward application at
 another, so the sweep already yields a symmetric (involutive) move set.
+The scan reads the doubled word: `str.find` anchors each rotation at its
+tail and finds its heads, prefix letter counts give both sides of the
+side condition, and only the result is built, so a site costs O(1)
+Python work.  Each side condition is defined once, on letter counts;
+`ce1_condition` and `ce2_condition` apply it to strings.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import accumulate
 
 from .circular import CircularWord, avg_count, canonicalize, conjugacy_class, m_equivalent
 from .words import Alphabet, parikh_vector
@@ -63,7 +68,7 @@ def apply_e1(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one ac <-> ca factor swap."""
     _require_ternary(alphabet)
     alphabet.validate(word)
-    ((_, ac, ca),) = _factors(alphabet, "CE1")
+    ((_, ac, ca, *_),) = _factors(alphabet, "CE1")
     out = set()
     for i in range(len(word) - 1):
         pair = word[i : i + 2]
@@ -82,29 +87,28 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
     b = alphabet.symbols[1]
     n = len(word)
     out = set()
-    for alpha, head, tail in _factors(alphabet, "CE2"):
-        allowed = {alpha, b}
+    for alpha, head, tail, *_ in _factors(alphabet, "CE2"):
+        allowed = (alpha, b)
+        opposite = {head: tail, tail: head}
         for i in range(n - 3):
             first = word[i : i + 2]
-            if first != head and first != tail:
+            second = opposite.get(first)
+            if second is None:
                 continue
+            # y = word[i+2 : j] stays over {α, b} until the first other letter.
             for j in range(i + 2, n - 1):
-                second = word[j : j + 2]
-                y = word[i + 2 : j]
-                if not set(y) <= allowed:
-                    continue
-                if first == head and second == tail:
-                    out.add(word[:i] + tail + y + head + word[j + 2 :])
-                elif first == tail and second == head:
-                    out.add(word[:i] + head + y + tail + word[j + 2 :])
+                if word[j : j + 2] == second:
+                    out.add(word[:i] + second + word[i + 2 : j] + first + word[j + 2 :])
+                if word[j] not in allowed:
+                    break
     return out
 
 
 def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
     """Both sides of the CE1 condition for x·ac·y·ca -> x·ca·y·ac:
     (|y|_b (|x|_a - |x|_c), |x|_b (|y|_a - |y|_c))."""
-    a, b, c = alphabet.symbols
-    return y.count(b) * (x.count(a) - x.count(c)), x.count(b) * (y.count(a) - y.count(c))
+    roles = alphabet.symbols
+    return _ce1_sides(_counts(x, roles), _counts(y, roles))
 
 
 def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
@@ -113,54 +117,111 @@ def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     a, b, c = alphabet.symbols
     if alpha not in (a, c):
         raise ValueError(f"CE2 swaps {a} or {c} with {b}, got {alpha!r}")
-    bar = c if alpha == a else a
-    return (
-        x.count(bar) * (len(y) + y.count(b) + 3),
-        y.count(bar) * (len(x) + x.count(b) + 3),
-    )
+    roles = (a, b, c) if alpha == a else (c, b, a)
+    return _ce2_sides(_counts(x, roles), _counts(y, roles))
+
+
+def _counts(text: str, roles: tuple) -> tuple:
+    """How often each of the three letters of `roles` occurs in text."""
+    a, b, c = roles
+    return text.count(a), text.count(b), text.count(c)
+
+
+def _ce1_sides(x: tuple, y: tuple) -> tuple:
+    """The CE1 condition's sides from the counts (|·|_a, |·|_b, |·|_c) of x
+    and of y."""
+    xa, xb, xc = x
+    ya, yb, yc = y
+    return yb * (xa - xc), xb * (ya - yc)
+
+
+def _ce2_sides(x: tuple, y: tuple) -> tuple:
+    """The CE2 condition's sides from the counts (|·|_α, |·|_b, |·|_ᾱ) of x
+    and of y: |x| + |x|_b is |x|_α + 2|x|_b + |x|_ᾱ."""
+    xa, xb, xbar = x
+    ya, yb, ybar = y
+    return xbar * (ya + 2 * yb + ybar + 3), ybar * (xa + 2 * xb + xbar + 3)
 
 
 def _factors(alphabet: Alphabet, rule: str) -> tuple:
-    """The factor pairs x·head·y·tail -> x·tail·y·head of `rule` as (α, head,
-    tail): one for CE1 (α None), one per α in {a, c} for CE2.  E1 and E2
-    swap the same factors."""
+    """The swaps x·head·y·tail -> x·tail·y·head of `rule` as (α, head, tail,
+    roles, sides): one for CE1 (α None), one per α in {a, c} for CE2, where
+    sides maps the counts of the `roles` letters in x and in y to both sides
+    of the side condition.  E1 and E2 swap the same factors."""
     a, b, c = alphabet.symbols
     if rule == "CE1":
-        return ((None, a + c, c + a),)
-    return ((a, a + b, b + a), (c, c + b, b + c))
+        return ((None, a + c, c + a, (a, b, c), _ce1_sides),)
+    return (
+        (a, a + b, b + a, (a, b, c), _ce2_sides),
+        (c, c + b, b + c, (c, b, a), _ce2_sides),
+    )
 
 
 def _swaps(alphabet: Alphabet, rule: str) -> tuple:
     """The `_factors` of `rule` as (α, head, tail, condition), where
     condition(x, y) gives both sides of the side condition."""
-    if rule == "CE1":
-        return tuple((*f, partial(ce1_condition, alphabet)) for f in _factors(alphabet, rule))
+
+    def condition(roles, sides):
+        return lambda x, y: sides(_counts(x, roles), _counts(y, roles))
+
     return tuple(
-        (*f, partial(ce2_condition, alphabet, alpha=f[0])) for f in _factors(alphabet, rule)
+        (alpha, head, tail, condition(roles, sides))
+        for alpha, head, tail, roles, sides in _factors(alphabet, rule)
     )
 
 
 def _sites(cw: CircularWord, rule: str):
     """Every site of `rule` in [w] as ((r, |x|, |y|, α, lhs, rhs), result):
     each rotation r of the canonical word that factors as x·head·y·tail for
-    one of the rule's `_swaps`, both sides of its side condition, and the
-    linear word x·tail·y·head; ordered by r, then α, then |x|."""
+    one of the rule's swaps, both sides of its side condition, and the
+    linear word x·tail·y·head; ordered by r, then α, then |x|.
+
+    Rotation r is d[r : r+n] of d = w·w, so it is anchored at a tail found
+    at t = r+n-2, and its heads are found in d[r : t], all by `str.find`.
+    The letter counts of x = d[r : i] and y = d[i+2 : t] are differences of
+    prefix counts of d, and the result is joined from slices of d: O(n)
+    Python work per word plus O(1) per site.
+    """
     _require_ternary(cw.alphabet)
-    swaps = _swaps(cw.alphabet, rule)
     w = cw.canonical
     n = len(w)
-    doubled = w + w
-    for r in range(n):
-        rot = doubled[r : r + n]
-        for alpha, head, tail, condition in swaps:
-            if rot[-2:] != tail:
-                continue
-            i = rot.find(head, 0, n - 2)
-            while i != -1:
-                x, y = rot[:i], rot[i + 2 : n - 2]
-                lhs, rhs = condition(x, y)
-                yield (r, i, len(y), alpha, lhs, rhs), x + tail + y + head
-                i = rot.find(head, i + 1, n - 2)
+    d = w + w
+    factors = _factors(cw.alphabet, rule)
+    anchors = sorted(
+        (t, k)
+        for k, (_, _, tail, *_) in enumerate(factors)
+        for t in _find_all(d, tail, n - 2, 2 * n - 1)
+    )
+    if not anchors:
+        return
+    symbols = cw.alphabet.symbols
+    prefix = {}
+    for letter in symbols:
+        # With the letter made chr(1) and the others chr(0), d encodes to
+        # the bytes of the letter's indicator, which `accumulate` sums in C.
+        indicator = d.translate({ord(c): int(c == letter) for c in symbols}).encode()
+        prefix[letter] = list(accumulate(indicator, initial=0))
+    swaps = [
+        (alpha, head, tail, [prefix[letter] for letter in roles], sides)
+        for alpha, head, tail, roles, sides in factors
+    ]
+    for t, k in anchors:
+        r = t - n + 2
+        alpha, head, tail, (p0, p1, p2), sides = swaps[k]
+        for i in _find_all(d, head, r, t):
+            j = i + 2
+            x = (p0[i] - p0[r], p1[i] - p1[r], p2[i] - p2[r])
+            y = (p0[t] - p0[j], p1[t] - p1[j], p2[t] - p2[j])
+            lhs, rhs = sides(x, y)
+            yield (r, i - r, t - j, alpha, lhs, rhs), d[r:i] + tail + d[j:t] + head
+
+
+def _find_all(text: str, sub: str, start: int, end: int):
+    """The starts of `sub` in text[start : end], ascending."""
+    i = text.find(sub, start, end)
+    while i != -1:
+        yield i
+        i = text.find(sub, i + 1, end)
 
 
 def _applications(cw: CircularWord, rule: str) -> list:
@@ -266,18 +327,20 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     closure is finite (length and letter counts are preserved); max_steps
     caps the number of nodes as a guard and must be at least 1.
 
+    Each node's sites come from `_sites` at O(1) Python work per site.
     Each admitted node registers its rotations in one dict, so a valid site
     finds its target by one lookup of its linear result, and only a result
     of a new class is canonicalized: one `canonicalize` per node, none for
-    an invalid site or one over the budget.  (Listings by `find_ce1` and
-    `find_ce2` canonicalize every site, since they print each result; each
-    call costs a few `str` operations plus Python work per longest run of
-    the least letter.)
+    an invalid site or one over the budget.  A node is expanded once, so a
+    set of its targets per rule keeps one edge per (source, target, rule).
+    (Listings by `find_ce1` and `find_ce2` canonicalize every site, since
+    they print each result; each call costs a few `str` operations plus
+    Python work per longest run of the least letter.)
     """
     _require_ternary(cw.alphabet)
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    rules = tuple(rules)
+    rules = tuple(dict.fromkeys(rules))  # a repeated rule adds no edge
     for rule in rules:
         if rule not in ("CE1", "CE2"):
             raise ValueError(f"unknown rule {rule!r}; circular rules are CE1, CE2")
@@ -292,14 +355,13 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
 
     admit(cw)
     edges = []
-    seen_edges = set()
     complete = True
     while queue:
         source = queue.popleft()
         for rule in rules:
+            targets = set()
             for site, result in _sites(source, rule):
-                lhs, rhs = site[-2:]
-                if lhs != rhs:
+                if site[4] != site[5]:  # lhs != rhs
                     continue
                 target = rotations.get(result)
                 if target is None:
@@ -308,9 +370,8 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
                         continue
                     target = canonicalize(cw.alphabet, result)
                     admit(target)
-                edge_key = (source.canonical, target.canonical, rule)
-                if edge_key not in seen_edges:
-                    seen_edges.add(edge_key)
+                if target.canonical not in targets:
+                    targets.add(target.canonical)
                     app = RuleApplication(rule, *site, target)
                     edges.append(RewriteEdge(source, target, app))
     return RewriteGraph(tuple(order), tuple(edges), complete)

@@ -23,7 +23,14 @@ from circparikh import (
     rewrite_closure,
 )
 from circparikh import rewriting
-from circparikh.rewriting import RewriteEdge, RewriteGraph, RuleApplication, _swaps, ce2_condition
+from circparikh.rewriting import (
+    RewriteEdge,
+    RewriteGraph,
+    RuleApplication,
+    _swaps,
+    ce1_condition,
+    ce2_condition,
+)
 
 ABC = Alphabet("abc")
 AB = Alphabet("ab")
@@ -67,6 +74,58 @@ class TestLinearRules:
 
     def test_e2_reverse_direction(self):
         assert "abba" in apply_e2(ABC, "baab")
+
+
+def apply_e2_oracle(alphabet, word):
+    """apply_e2 by trying every pair of starts i < j and testing the letter
+    set of y = word[i+2 : j] each time: the nested loop the rule used to
+    run, O(n³) per word."""
+    a, b, c = alphabet.symbols
+    n = len(word)
+    out = set()
+    for alpha in (a, c):
+        head, tail = alpha + b, b + alpha
+        for i in range(n - 3):
+            first = word[i : i + 2]
+            if first != head and first != tail:
+                continue
+            for j in range(i + 2, n - 1):
+                second = word[j : j + 2]
+                y = word[i + 2 : j]
+                if not set(y) <= {alpha, b}:
+                    continue
+                if first == head and second == tail:
+                    out.add(word[:i] + tail + y + head + word[j + 2 :])
+                elif first == tail and second == head:
+                    out.add(word[:i] + head + y + tail + word[j + 2 :])
+    return out
+
+
+class TestE2AgainstOracle:
+    def test_every_word_up_to_7(self):
+        results = 0
+        for w in words_up_to("abc", 7):
+            expected = apply_e2_oracle(ABC, w)
+            assert apply_e2(ABC, w) == expected, w
+            results += len(expected)
+        assert results > 0
+
+    def test_random_words(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # "cab" makes c the first role letter, so roles follow the order.
+        @hypothesis.given(
+            st.sampled_from(["abc", "cab"]).flatmap(
+                lambda s: st.tuples(st.just(s), st.text(s, max_size=40))
+            )
+        )
+        def check(case):
+            symbols, word = case
+            alphabet = Alphabet(symbols)
+            assert apply_e2(alphabet, word) == apply_e2_oracle(alphabet, word)
+
+        check()
 
 
 class TestFindCE1:
@@ -212,6 +271,47 @@ class TestRuleTheorems:
     def test_ce2_condition_rejects_b_as_alpha(self):
         with pytest.raises(ValueError):
             ce2_condition(ABC, "a", "c", "b")
+
+
+class TestConditionsDefinedOnce:
+    def test_conditions_match_the_paper_formulas(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.given(
+            st.sampled_from(["abc", "cab"]),
+            st.text("abc", max_size=12),
+            st.text("abc", max_size=12),
+        )
+        def check(symbols, x, y):
+            alphabet = Alphabet(symbols)
+            a, b, c = symbols
+            ce1 = (
+                y.count(b) * (x.count(a) - x.count(c)),
+                x.count(b) * (y.count(a) - y.count(c)),
+            )
+            assert ce1_condition(alphabet, x, y) == ce1
+            for alpha, bar in ((a, c), (c, a)):
+                ce2 = (
+                    x.count(bar) * (len(y) + y.count(b) + 3),
+                    y.count(bar) * (len(x) + x.count(b) + 3),
+                )
+                assert ce2_condition(alphabet, x, y, alpha) == ce2
+
+        check()
+
+    @pytest.mark.parametrize("word", ["abacca", "cbabbcba", "aaaabbbbb"])
+    def test_scan_does_not_call_the_string_conditions(self, monkeypatch, word):
+        cw = canonicalize(ABC, word)
+        expected = (find_ce1(cw), find_ce2(cw), rewrite_closure(cw))
+        assert expected[0] + expected[1] and expected[2].edges
+
+        def refuse(*args):
+            raise AssertionError("the site scan called a string condition")
+
+        monkeypatch.setattr(rewriting, "ce1_condition", refuse)
+        monkeypatch.setattr(rewriting, "ce2_condition", refuse)
+        assert (find_ce1(cw), find_ce2(cw), rewrite_closure(cw)) == expected
 
 
 class TestNaiveFailures:
@@ -362,6 +462,44 @@ class TestClosureAgainstOracle:
             edges += len(full.edges)
             truncated += not graph.complete
         assert edges > 0 and truncated > 0
+
+    def test_listings_match_oracle_on_long_words(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.given(
+            st.sampled_from(["ab", "ac", "bc", "abc"]).flatmap(lambda s: st.text(s, max_size=64))
+        )
+        def check(word):
+            cw = canonicalize(ABC, word)
+            assert find_ce1(cw) == sites_oracle(cw, "CE1")
+            assert find_ce2(cw) == sites_oracle(cw, "CE2")
+
+        check()
+
+    def test_listings_match_oracle_on_powers(self):
+        # A periodic word is still scanned at all n rotations: rotation r
+        # and r + |period| are the same linear word and list the same sites.
+        listed = 0
+        for u in words_up_to("abc", 5):
+            for k in range(1, 5):
+                cw = canonicalize(ABC, u * k)
+                p = len(cw.period)
+                for rule, finder in (("CE1", find_ce1), ("CE2", find_ce2)):
+                    apps = finder(cw)
+                    assert apps == sites_oracle(cw, rule), (u, k)
+                    first = [a for a in apps if a.rotation < p]
+                    assert len(apps) == len(first) * (len(cw.canonical) // max(p, 1))
+                    listed += len(apps)
+        assert listed > 0
+
+    def test_repeated_rule_adds_no_edge(self):
+        for word in ("abacca", "cbabbcba", "aabcbc"):
+            cw = canonicalize(ABC, word)
+            for rules in (("CE1", "CE1"), ("CE2", "CE1", "CE2")):
+                graph = rewrite_closure(cw, rules)
+                assert graph == closure_oracle(cw, rules)
+                assert graph == rewrite_closure(cw, tuple(dict.fromkeys(rules)))
 
     def test_random_words(self):
         hypothesis = pytest.importorskip("hypothesis")
