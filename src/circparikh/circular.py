@@ -1,10 +1,10 @@
 """Circular words (necklaces) and their exact Parikh data.
 
 A circular word is the conjugacy class of a linear word under rotation.
-It is stored canonically: the lexicographically least rotation (in the
-alphabet's order) and the primitive root, whose length is the class size.
-`canonicalize` finds both with `str` operations that run in C: only the
-rotations starting at a longest run of the least letter are compared.
+It is held by its least rotation (in the alphabet's order), whose primitive
+root gives the class size.  `canonicalize` finds that rotation with `str`
+operations that run in C: only the rotations starting at a longest run of
+the least letter are compared.
 
 Two counting modes exist for a pattern v in a circular word [w]:
 
@@ -62,11 +62,14 @@ class CircularWord:
 
     alphabet: Alphabet
     canonical: str
-    period: str
 
     @property
     def length(self) -> int:
         return len(self.canonical)
+
+    @property
+    def period(self) -> str:
+        return primitive_root(self.canonical)
 
     @property
     def class_size(self) -> int:
@@ -83,13 +86,12 @@ def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     `str.translate` rejects foreign symbols and, unless the alphabet is
     already in code-point order, one more makes code-point order the
     alphabet's order; `_least_start` then finds the least rotation with
-    string operations, and the period is its `primitive_root`.
+    string operations.
     """
     alphabet.validate(word)
     table = alphabet._to_sorted
     start = _least_start(word.translate(table) if table else word, alphabet._sorted)
-    canonical = word[start:] + word[:start]
-    return CircularWord(alphabet, canonical, primitive_root(canonical))
+    return CircularWord(alphabet, word[start:] + word[:start])
 
 
 # Above this many longest runs, `_least_start` ranks gaps instead of slicing.
@@ -260,12 +262,6 @@ def circular_inverse_alternate_check(cw: CircularWord) -> bool:
     Parikh matrix equals the alternate matrix of the mirrored class."""
     if cw.alphabet.size > 3:
         raise ValueError("holds only for alphabets of size at most 3")
-    return _inverse_alternate_holds(cw)
-
-
-def _inverse_alternate_holds(cw: CircularWord) -> bool:
-    """The inverse-alternate identity for [w], from its ladder sums and
-    those of its mirror."""
     return _sums_inverse_alternate(
         _ladder_sums(cw), _ladder_sums(mirror_class(cw)), max(cw.length, 1)
     )
@@ -288,21 +284,20 @@ def circular_power_check(cw: CircularWord, p: int) -> bool:
     # bool is an int subclass; True is not a power
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValueError(f"power must be a positive integer, got {p!r}")
-    return _power_holds(cw, p)
+    sums = power = _ladder_sums(cw)
+    for _ in range(p - 1):
+        power = _tri_mul(power, sums)
+    return _power_holds(cw, p, power)
 
 
-def _power_holds(cw: CircularWord, p: int, power=None) -> bool:
+def _power_holds(cw: CircularWord, p: int, power) -> bool:
     """M_p = M^p iff n^p T_p = L_p T^p, with T the ladder sums of [w] over
     n = max(|w|, 1) and T_p those of [w^p] over L_p = max(p |w|, 1).
 
     Since rot_{k+|w|}(w^p) = rot_k(w^p), T_p = p S with S the sums over the
     first |w| shifts of w^p, so the test is n^(p-1) S = T^p; for λ, S = T = I,
-    and for p = 1, S = T.  `power` is T^p when the caller already has it.
+    and for p = 1, S = T.  `power` is T^p.
     """
-    if power is None:
-        sums = power = _ladder_sums(cw)
-        for _ in range(p - 1):
-            power = _tri_mul(power, sums)
     if p == 1:
         shifted = power
     else:

@@ -26,12 +26,11 @@ from .circular import (
     _ladder_sums,
     _sums_inverse_alternate,
     canonicalize,
-    primitive_root,
     product_identity_check,
     slender_partition_check,
 )
 from .matrices import _tri_mul
-from .rewriting import _swaps, apply_e1, apply_e2, naive_rule_failure_examples
+from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
 from .words import Alphabet, _parikh_rows, _positions, _read, mirror, parikh_vector
 
 _AB = Alphabet("ab")
@@ -49,8 +48,6 @@ def enumerate_necklaces(alphabet: Alphabet, n: int) -> list:
     """
     if n < 0:
         raise ValueError("length must be non-negative")
-    if n == 0:
-        return [CircularWord(alphabet, "", "")]
     symbols = alphabet.symbols
     successor = dict(zip(symbols, symbols[1:]))
     prefix = symbols[0]
@@ -58,7 +55,7 @@ def enumerate_necklaces(alphabet: Alphabet, n: int) -> list:
     out = []
     while True:
         if n % len(prefix) == 0:
-            out.append(CircularWord(alphabet, word, prefix))
+            out.append(CircularWord(alphabet, word))
         head = word.rstrip(symbols[-1])
         if not head:
             return out
@@ -122,7 +119,7 @@ class MEquivClassReport:
         rows = []
         for key, members in self.classes.items():
             for word in members:
-                size = CircularWord(self.alphabet, word, primitive_root(word)).class_size
+                size = CircularWord(self.alphabet, word).class_size
                 rows.append((word, size, key))
         for word, size, key in sorted(rows):
             writer.writerow([f"[{word}]", size, key])
@@ -176,19 +173,13 @@ class SuiteResult:
         return self.failure_count == 0
 
 
-def _words_up_to(symbols, max_len: int):
-    yield ""
-    for n in range(1, max_len + 1):
-        for tup in itertools.product(symbols, repeat=n):
-            yield "".join(tup)
-
-
 def _walk(symbols, max_len: int, root, step):
-    """(w, state of w) for every word w up to max_len, in `_words_up_to`
-    order, where `root` is the state of λ and `step(state, x)` the state of
-    w·x.  Depth-first to each length in turn through the prefix tree, so it
-    holds one root-to-leaf path of states, never a whole level; over two or
-    more letters it takes about |Σ| / (|Σ| - 1) steps per word."""
+    """(w, state of w) for every word w up to max_len, by length and then in
+    `itertools.product` order, where `root` is the state of λ and
+    `step(state, x)` the state of w·x.  Depth-first to each length in turn
+    through the prefix tree, so it holds one root-to-leaf path of states,
+    never a whole level; over two or more letters it takes about
+    |Σ| / (|Σ| - 1) steps per word."""
 
     def below(word, state, depth):
         if not depth:
@@ -251,7 +242,10 @@ def _binary_closed_form(alphabet, max_length):
     against the ladder sums in integers."""
     a, b = alphabet.symbols
     ladder_sums = _ladder_sums_by_word(alphabet)
-    for w in _words_up_to(alphabet.symbols, max_length):
+    words = (
+        "".join(t) for k in range(max_length + 1) for t in itertools.product(alphabet.symbols, repeat=k)
+    )
+    for w in words:
         (_, t01, t02), (_, _, t12), _ = ladder_sums(w)
         n, na, nb = max(len(w), 1), w.count(a), w.count(b)
         ok = (t01, t12, 2 * t02) == (n * na, n * nb, n * na * nb)
@@ -305,11 +299,11 @@ def _product_identity(alphabet, max_length):
 def _ce_iff(rule, alphabet, max_split):
     """For each swap x·head·y·tail -> x·tail·y·head of `rule`, the side
     condition holds iff the two circular words are M-equivalent."""
-    swaps = _swaps(alphabet, rule)
+    factors = _factors(alphabet, rule)
     ladder_sums = _ladder_sums_by_word(alphabet)
     for x, y in _split_pairs(alphabet.symbols, max_split):
-        for alpha, head, tail, side_condition in swaps:
-            lhs, rhs = side_condition(x, y)
+        for alpha, head, tail, roles, sides in factors:
+            lhs, rhs = sides(_counts(x, roles), _counts(y, roles))
             condition = lhs == rhs
             w, w2 = x + head + y + tail, x + tail + y + head
             equivalent = ladder_sums(w) == ladder_sums(w2)
@@ -343,13 +337,11 @@ def _linear_rules(alphabet, max_length):
 
 def _naive_failures(alphabet):
     """The six expected values of the two fixed ternary counterexamples."""
-    e1, e2 = naive_rule_failure_examples()
-    yield None if e1.left_count == Fraction(1, 3) else f"{e1.left} count {e1.left_count} != 1/3"
-    yield None if e1.right_count == Fraction(2, 3) else f"{e1.right} count {e1.right_count} != 2/3"
-    yield None if not e1.equivalent else f"{e1.left} and {e1.right} unexpectedly M-equivalent"
-    yield None if e2.left_count == Fraction(2, 5) else f"{e2.left} count {e2.left_count} != 2/5"
-    yield None if e2.right_count == 1 else f"{e2.right} count {e2.right_count} != 1"
-    yield None if not e2.equivalent else f"{e2.left} and {e2.right} unexpectedly M-equivalent"
+    expected = (Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 5), Fraction(1))
+    for e, (left, right) in zip(naive_rule_failure_examples(), expected):
+        yield None if e.left_count == left else f"{e.left} count {e.left_count} != {left}"
+        yield None if e.right_count == right else f"{e.right} count {e.right_count} != {right}"
+        yield None if not e.equivalent else f"{e.left} and {e.right} unexpectedly M-equivalent"
 
 
 def _binary_mequiv(alphabet, max_length):

@@ -28,6 +28,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
+def _entry(e) -> Fraction:
+    """A matrix entry from an int, a Fraction or a rational literal."""
+    # Exact types only: a bool is no entry, and a float, a Decimal or a
+    # decimal literal is no exact rational literal.
+    if type(e) is int or type(e) is Fraction:
+        return Fraction(e)
+    return parse_rational(e)
+
+
 def _tri_mul(a, b) -> tuple:
     """Product of two upper triangular matrices given as rows."""
     d = len(a)
@@ -59,7 +68,7 @@ class UnitriangularMatrix:
     __slots__ = ("dim", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
+        rows = tuple(tuple(map(_entry, row)) for row in rows)
         dim = len(rows)
         if dim < 2:
             raise ValueError(f"matrix dimension must be at least 2, got {dim}")
@@ -158,13 +167,10 @@ class UnitriangularMatrix:
             )
         if len(entries) != dim:
             raise ValueError(f"expected {dim} rows, got {len(entries)}")
-        rows = []
         for row in entries:
             if not isinstance(row, list) or len(row) != dim:
                 raise ValueError(f"expected rows of length {dim}")
-            # bool is an int subclass; JSON true/false are not matrix entries
-            rows.append([e if type(e) is int else parse_rational(e) for e in row])
-        return cls(rows)
+        return cls(entries)
 
     def pretty(self) -> str:
         """Aligned text grid, one matrix row per line."""

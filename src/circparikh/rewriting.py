@@ -21,8 +21,8 @@ another, so the sweep already yields a symmetric (involutive) move set.
 The scan reads the doubled word: `str.find` anchors each rotation at its
 tail and finds its heads, prefix letter counts give both sides of the
 side condition, and only the result is built, so a site costs O(1)
-Python work.  Each side condition is defined once, on letter counts;
-`ce1_condition` and `ce2_condition` apply it to strings.
+Python work.  Each swap and its side condition are written once, in
+`_factors`; `ce1_condition` and `ce2_condition` apply them to strings.
 """
 
 from __future__ import annotations
@@ -107,18 +107,18 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
 def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
     """Both sides of the CE1 condition for x·ac·y·ca -> x·ca·y·ac:
     (|y|_b (|x|_a - |x|_c), |x|_b (|y|_a - |y|_c))."""
-    roles = alphabet.symbols
-    return _ce1_sides(_counts(x, roles), _counts(y, roles))
+    ((_, _, _, roles, sides),) = _factors(alphabet, "CE1")
+    return sides(_counts(x, roles), _counts(y, roles))
 
 
 def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     """Both sides of the CE2 condition for x·αb·y·bα -> x·bα·y·αb, α in
     {a, c}: (|x|_ᾱ (|y| + |y|_b + 3), |y|_ᾱ (|x| + |x|_b + 3))."""
     a, b, c = alphabet.symbols
-    if alpha not in (a, c):
-        raise ValueError(f"CE2 swaps {a} or {c} with {b}, got {alpha!r}")
-    roles = (a, b, c) if alpha == a else (c, b, a)
-    return _ce2_sides(_counts(x, roles), _counts(y, roles))
+    for swapped, _, _, roles, sides in _factors(alphabet, "CE2"):
+        if alpha == swapped:
+            return sides(_counts(x, roles), _counts(y, roles))
+    raise ValueError(f"CE2 swaps {a} or {c} with {b}, got {alpha!r}")
 
 
 def _counts(text: str, roles: tuple) -> tuple:
@@ -154,19 +154,6 @@ def _factors(alphabet: Alphabet, rule: str) -> tuple:
     return (
         (a, a + b, b + a, (a, b, c), _ce2_sides),
         (c, c + b, b + c, (c, b, a), _ce2_sides),
-    )
-
-
-def _swaps(alphabet: Alphabet, rule: str) -> tuple:
-    """The `_factors` of `rule` as (α, head, tail, condition), where
-    condition(x, y) gives both sides of the side condition."""
-
-    def condition(roles, sides):
-        return lambda x, y: sides(_counts(x, roles), _counts(y, roles))
-
-    return tuple(
-        (alpha, head, tail, condition(roles, sides))
-        for alpha, head, tail, roles, sides in _factors(alphabet, rule)
     )
 
 

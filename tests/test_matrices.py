@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -279,6 +280,19 @@ def test_from_json_rejects_booleans():
     with pytest.raises(ValueError):
         UnitriangularMatrix.from_json('{"dim": 2, "entries": [[1, false], [0, 1]]}')
     assert UnitriangularMatrix.from_json('{"dim": 2, "entries": [[1, 5], [0, 1]]}').rows[0][1] == 5
+
+
+@pytest.mark.parametrize("entry", [0.1, True, "0.5", Decimal("0.1")])
+def test_construction_rejects_inexact_entries(entry):
+    # 0.1 would enter as 3602879701896397/36028797018963968 and True as 1.
+    with pytest.raises(ValueError, match="not a rational literal"):
+        UnitriangularMatrix([[1, entry], [0, 1]])
+
+
+@pytest.mark.parametrize("entry, value", [(3, 3), (F(1, 2), F(1, 2)), ("1/2", F(1, 2))])
+def test_construction_accepts_exact_entries(entry, value):
+    matrix = UnitriangularMatrix([[1, entry], [0, 1]])
+    assert matrix.rows[0][1] == value and type(matrix.rows[0][1]) is Fraction
 
 
 def test_parse_rational():

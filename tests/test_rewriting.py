@@ -27,7 +27,8 @@ from circparikh.rewriting import (
     RewriteEdge,
     RewriteGraph,
     RuleApplication,
-    _swaps,
+    _counts,
+    _factors,
     ce1_condition,
     ce2_condition,
 )
@@ -397,14 +398,14 @@ def sites_oracle(cw, rule):
     apps = []
     for r in range(n):
         rot = (w + w)[r : r + n]
-        for alpha, head, tail, condition in _swaps(cw.alphabet, rule):
+        for alpha, head, tail, roles, sides in _factors(cw.alphabet, rule):
             if rot[-2:] != tail:
                 continue
             for i in range(n - 3):
                 if rot[i : i + 2] != head:
                     continue
                 x, y = rot[:i], rot[i + 2 : n - 2]
-                lhs, rhs = condition(x, y)
+                lhs, rhs = sides(_counts(x, roles), _counts(y, roles))
                 result = canonicalize(cw.alphabet, x + tail + y + head)
                 apps.append(RuleApplication(rule, r, i, len(y), alpha, lhs, rhs, result))
     return apps

@@ -1,9 +1,9 @@
 """The single-pass paths against brute-force oracles.
 
 `canonicalize` finds the least rotation from the longest runs of the least
-letter and takes the period from `primitive_root`, where the word recurs
-in its square; the oracle tries every rotation and takes the period from
-the number of distinct rotations.  `primitive_root` and `conjugacy_class`
+letter, and `CircularWord.period` is its `primitive_root`, where the word
+recurs in its square; the oracle tries every rotation and takes the period
+from the number of distinct rotations.  `primitive_root` and `conjugacy_class`
 are checked against their divisor-loop and seen-set definitions, and the
 slender representatives against the rotation classes.  One scanner lists the CE1 and CE2 sites; the oracle
 splits every rotation into x·head·y·tail and evaluates the side conditions

@@ -8,9 +8,9 @@ words of its length; `power` takes each necklace's ladder sums once and
 keeps T^p as a running product, and its kernel and product calls and those
 of the circular check of `product-identity` are pinned.  The oracles
 recompute everything for each word from scratch, as the suites used to:
-`_words_up_to`, `permutation_identity_check`, `_parikh_rows`, `_count`,
-`m_equivalent`, `circular_inverse_alternate_check` and the two-argument
-`circular._power_holds`.  The call counts pin the sharing itself.
+`words_up_to` below, `permutation_identity_check`, `_parikh_rows`,
+`_count`, `m_equivalent`, `circular_inverse_alternate_check` and
+`circular_power_check`.  The call counts pin the sharing itself.
 The reader `words._read` behind `_parikh_rows` and the walk's step is
 checked entry by entry against `_count`, and for composition: reading w,
 then u, is reading w·u.
@@ -28,13 +28,14 @@ from circparikh import (
     canonicalize,
     circular,
     circular_inverse_alternate_check,
+    circular_power_check,
     enumeration,
     m_equivalent,
     words,
 )
-from circparikh.enumeration import _extend_counts, _walk, _words_up_to
+from circparikh.enumeration import _extend_counts, _walk
 from circparikh.matrices import _tri_mul
-from circparikh.rewriting import _swaps
+from circparikh.rewriting import _counts, _factors
 from circparikh.words import _count, _parikh_rows, _positions, _read, permutation_identity_check
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -43,11 +44,17 @@ st = hypothesis.strategies
 ABC = Alphabet("abc")
 
 
+def words_up_to(symbols, max_len):
+    for n in range(max_len + 1):
+        for tup in itertools.product(symbols, repeat=n):
+            yield "".join(tup)
+
+
 @pytest.mark.parametrize("symbols", ["a", "ab", "abc", "abcd"])
 def test_walk_yields_words_up_to_order(symbols):
     # With the word itself as the state, each state is the path that led to it.
     walked = list(_walk(symbols, 6, "", lambda state, x: state + x))
-    assert [w for w, _ in walked] == list(_words_up_to(symbols, 6))
+    assert [w for w, _ in walked] == list(words_up_to(symbols, 6))
     assert all(w == state for w, state in walked)
 
 
@@ -70,7 +77,7 @@ def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel)
 
     monkeypatch.setattr(enumeration, "_positions", relabeled)
     monkeypatch.setattr(words, "_positions", relabeled)
-    oracle = [permutation_identity_check(ABC, w) for w in _words_up_to(ABC.symbols, 7)]
+    oracle = [permutation_identity_check(ABC, w) for w in words_up_to(ABC.symbols, 7)]
     assert linear_verdicts(ABC, 7) == oracle
     assert set(oracle) == ({True} if not relabel else {True, False})
 
@@ -94,7 +101,7 @@ def test_read_ladder_rows_count_factors(spec, max_n):
     # `linear-rules` walk step.
     alphabet = Alphabet.parse(spec)
     ladder = "".join(alphabet.symbols)
-    for w in _words_up_to(alphabet.symbols, max_n):
+    for w in words_up_to(alphabet.symbols, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
         walked = _parikh_rows(alphabet, w[:-1])
@@ -118,8 +125,8 @@ def test_reading_w_then_u_is_reading_wu(pattern, w, u):
     assert rows == read(pattern, w + u)
 
 
-def always_holds(swaps):
-    return [(alpha, head, tail, lambda x, y: (0, 0)) for alpha, head, tail, _ in swaps]
+def always_holds(factors):
+    return [(alpha, head, tail, roles, lambda x, y: (0, 0)) for alpha, head, tail, roles, _ in factors]
 
 
 @pytest.mark.parametrize("rule", ["CE1", "CE2"])
@@ -128,11 +135,11 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
     # With every side condition made to hold, a case holds iff its pair is
     # M-equivalent, so the verdicts are the equivalences: both values.
     if condition_holds:
-        monkeypatch.setattr(enumeration, "_swaps", lambda a, r: always_holds(_swaps(a, r)))
+        monkeypatch.setattr(enumeration, "_factors", lambda a, r: always_holds(_factors(a, r)))
     oracle = []
     for x, y in enumeration._split_pairs(ABC.symbols, 4):
-        for _, head, tail, side_condition in enumeration._swaps(ABC, rule):
-            lhs, rhs = side_condition(x, y)
+        for _, head, tail, roles, sides in enumeration._factors(ABC, rule):
+            lhs, rhs = sides(_counts(x, roles), _counts(y, roles))
             w, w2 = x + head + y + tail, x + tail + y + head
             equivalent = m_equivalent(canonicalize(ABC, w), canonicalize(ABC, w2))
             oracle.append((lhs == rhs) == equivalent)
@@ -263,21 +270,13 @@ def test_inverse_alternate_verdicts_match_the_check(monkeypatch, symbols, pertur
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_power_verdicts_match_the_check(monkeypatch, symbols, perturbed):
     # With perturbed ladder sums, read by the suite and the check alike, T^p
-    # misses the sums of w^p for p >= 2 on some necklaces: both verdicts.
+    # misses the sums of w^p for p >= 2 on some necklaces: both verdicts.  The
+    # check builds T^p on its own for each p, the suite as a running product.
     if perturbed:
         monkeypatch.setattr(circular, "_ladder_sums", top_right_raised(circular._ladder_sums))
     alphabet = Alphabet(symbols)
     necklaces = [cw for n in range(7) for cw in enumeration.enumerate_necklaces(alphabet, n)]
-    oracle = [circular._power_holds(cw, p) for cw in necklaces for p in range(1, 5)]
+    oracle = [circular_power_check(cw, p) for cw in necklaces for p in range(1, 5)]
     cases = enumeration._suite("power").cases(alphabet, max_length=6, max_power=4)
     assert [case is None for case in cases] == oracle
     assert set(oracle) == ({True, False} if perturbed else {True})
-
-
-# [abcd] squared is a quaternary word whose identity fails.
-@hypothesis.example("abcd", 2)
-@hypothesis.given(st.text(alphabet="abcd", max_size=10), st.integers(1, 6))
-def test_power_holds_on_the_running_power_as_on_its_own(word, p):
-    cw = canonicalize(Alphabet("abcd"), word)
-    power = functools.reduce(_tri_mul, [circular._ladder_sums(cw)] * p)
-    assert circular._power_holds(cw, p, power) == circular._power_holds(cw, p)
