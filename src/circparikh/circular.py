@@ -14,7 +14,9 @@ Two counting modes exist for a pattern v in a circular word [w]:
   of [w]; an exact rational.
 
 The circular Parikh matrix is the class average of the linear Parikh
-matrices.  Both averages come from one integer rotation kernel.
+matrices.  Both averages come from one integer rotation kernel, which runs
+a pattern compiled by `words._program` (the alphabet's ladder is compiled
+once, by `Alphabet`) on one flat list of ints.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _identity, _positions, _read, mirror
+from .words import Alphabet, _count, _identity, _program, _read, _rows, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -161,46 +163,41 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
     return sum(_count(w, u) for u in conjugacy_class(pattern))
 
 
-def _rotation_sums(word: str, pattern: str, shifts: int | None = None) -> list:
-    """Integer rows whose (i, j) entry sums the count of pattern[i:j] over
-    the first `shifts` cyclic shifts of `word` (all |word| of them by
-    default; the identity for λ): the generalized Parikh matrix M_v is a
-    morphism, so rotating the front letter x to the back is the conjugation
-    M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list:
+    """Integer rows whose (i, j) entry sums the count of v[i:j] over the
+    first `shifts` <= |word| cyclic shifts of `word` (all of them by
+    default; the identity for λ), for the pattern v compiled by `_program`: the
+    generalized Parikh matrix M_v is a morphism, so rotating the front
+    letter x to the back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
 
-    Both the build (`_read`) and a rotation visit only the pattern
-    positions k that hold the letter (`_positions`, descending), and a
-    rotation changes only row k and column k+1 at each, so it costs O(m)
-    per position and O(n m) for the alphabet ladder; a letter absent from
-    the pattern costs O(1).
+    The build (`_read`) and each rotation run the program's updates of the
+    letter on one flat list, O(m) per position of v that holds it, and a
+    letter absent from v costs O(1); rows are reshaped only at return.
     The sums grow as the rotation goes, never adding up a whole matrix:
-    they start at shifts * M_v(word), and a change d at step s stays
-    in the last shifts - s of the summed matrices, so it adds (shifts - s) d.
-    Entry (k, k+1) counts the letter pattern[k], which no rotation changes
-    (the row operation's -1 and the column operation's +1 cancel), so both
-    operations skip it.
+    they start at shifts * M_v(word), and a change c at step s stays in
+    the last shifts - s of the summed matrices, so it adds (shifts - s) c.
     """
-    m = len(pattern)
-    positions = _positions(pattern)
-    rows = _identity(m + 1)
-    _read(rows, positions, word)
+    d, _, rotate = program
+    flat = _identity(d)
+    _read(flat, program, word)
     if not word:
-        return rows
+        return _rows(flat, d)
     shifts = len(word) if shifts is None else shifts
-    sums = [[shifts * e for e in row] for row in rows]
-    # Step s rotates word[s - 1] to the back.  Row and column operations
-    # commute, so they may interleave; both visit the positions descending.
-    for step in range(1, shifts):
-        weight = shifts - step
-        for k in positions.get(word[step - 1], ()):
-            upper, lower, total = rows[k], rows[k + 1], sums[k]
-            for j in range(k + 2, m + 1):  # rows <- M(x)^-1 rows
-                upper[j] -= lower[j]
-                total[j] -= lower[j] * weight
-            for row, total in zip(rows[:k], sums):  # rows <- rows M(x)
-                row[k + 1] += row[k]
-                total[k + 1] += row[k] * weight
-    return sums
+    sums = [shifts * e for e in flat]
+    # Step s rotates word[s - 1] to the back, with weight shifts - s.
+    for weight, x in zip(range(shifts - 1, 0, -1), word):
+        if x not in rotate:
+            continue
+        add, subtract = rotate[x]
+        for t, s in add:
+            v = flat[s]
+            flat[t] += v
+            sums[t] += v * weight
+        for t, s in subtract:
+            v = flat[s]
+            flat[t] -= v
+            sums[t] -= v * weight
+    return _rows(sums, d)
 
 
 def avg_count(cw: CircularWord, pattern: str) -> Fraction:
@@ -211,7 +208,7 @@ def avg_count(cw: CircularWord, pattern: str) -> Fraction:
     conjugate occurs equally often among the shifts.
     """
     cw.alphabet.validate(pattern)
-    return Fraction(_rotation_sums(cw.canonical, pattern)[0][-1], max(cw.length, 1))
+    return Fraction(_rotation_sums(cw.canonical, _program(pattern))[0][-1], max(cw.length, 1))
 
 
 def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
@@ -230,7 +227,7 @@ def _ladder_sums(cw: CircularWord) -> tuple:
     """The rotation sums of the ladder a_1 ... a_s, hashable: |w| times the
     circular Parikh matrix.  Equal sums iff equal matrices, since each fixes
     |w| (diagonal / superdiagonal total)."""
-    return tuple(map(tuple, _rotation_sums(cw.canonical, "".join(cw.alphabet.symbols))))
+    return tuple(map(tuple, _rotation_sums(cw.canonical, cw.alphabet._ladder)))
 
 
 def binary_closed_form(na: int, nb: int) -> UnitriangularMatrix:
@@ -301,7 +298,7 @@ def _power_holds(cw: CircularWord, p: int, power) -> bool:
     if p == 1:
         shifted = power
     else:
-        shifted = _rotation_sums(cw.canonical * p, "".join(cw.alphabet.symbols), cw.length)
+        shifted = _rotation_sums(cw.canonical * p, cw.alphabet._ladder, cw.length)
     scale = max(cw.length, 1) ** (p - 1)
     return all(scale * e_s == e for row_s, row in zip(shifted, power) for e_s, e in zip(row_s, row))
 
@@ -330,7 +327,7 @@ def product_identity_check(cw: CircularWord) -> bool:
     s, total = len(syms), 0
     for p in itertools.permutations(rest):
         pi = least + "".join(p)
-        sums = _rotation_sums(w, pi + pi[:-1])
+        sums = _rotation_sums(w, _program(pi + pi[:-1]))
         total += sum(sums[i][i + s] for i in range(s))
     return total == max(cw.length, 1) * math.prod(w.count(x) for x in syms)
 

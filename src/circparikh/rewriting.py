@@ -107,6 +107,7 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
 def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
     """Both sides of the CE1 condition for x·ac·y·ca -> x·ca·y·ac:
     (|y|_b (|x|_a - |x|_c), |x|_b (|y|_a - |y|_c))."""
+    _require_ternary(alphabet)
     ((_, _, _, roles, sides),) = _factors(alphabet, "CE1")
     return sides(_counts(x, roles), _counts(y, roles))
 
@@ -114,6 +115,7 @@ def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
 def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     """Both sides of the CE2 condition for x·αb·y·bα -> x·bα·y·αb, α in
     {a, c}: (|x|_ᾱ (|y| + |y|_b + 3), |y|_ᾱ (|x| + |x|_b + 3))."""
+    _require_ternary(alphabet)
     a, b, c = alphabet.symbols
     for swapped, _, _, roles, sides in _factors(alphabet, "CE2"):
         if alpha == swapped:

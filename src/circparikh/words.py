@@ -18,9 +18,12 @@ from .matrices import UnitriangularMatrix
 
 
 class Alphabet:
-    """Totally ordered, non-empty set of distinct single-character symbols."""
+    """Totally ordered, non-empty set of distinct single-character symbols.
 
-    __slots__ = ("symbols", "_ladder", "_foreign", "_sorted", "_to_sorted")
+    Besides each symbol's rank it holds its ladder a_1 ... a_s compiled by
+    `_program`, so the ladder kernels compile nothing per call."""
+
+    __slots__ = ("symbols", "_rank", "_ladder", "_foreign", "_sorted", "_to_sorted")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -32,8 +35,8 @@ class Alphabet:
         if len(set(syms)) != len(syms):
             raise ValueError(f"alphabet symbols must be distinct: {','.join(syms)}")
         self.symbols = syms
-        # The ladder a_1 ... a_s as `_positions` gives it: each symbol's rank.
-        self._ladder = {s: [i] for i, s in enumerate(syms)}
+        self._rank = {s: i for i, s in enumerate(syms)}
+        self._ladder = _program("".join(syms))
         # Translation tables: deleting the symbols leaves the foreign ones,
         # and mapping the i-th symbol to the i-th smallest in code-point order
         # makes string comparison follow the alphabet's order (empty when the
@@ -54,7 +57,7 @@ class Alphabet:
 
     def index(self, symbol: str) -> int:
         try:
-            return self._ladder[symbol][0]
+            return self._rank[symbol]
         except KeyError:
             raise ValueError(f"symbol {symbol!r} is not in alphabet {self}") from None
 
@@ -65,7 +68,7 @@ class Alphabet:
             raise ValueError(f"symbol {foreign[0]!r} is not in alphabet {self}")
 
     def __contains__(self, symbol):
-        return symbol in self._ladder
+        return symbol in self._rank
 
     def __iter__(self):
         return iter(self.symbols)
@@ -141,34 +144,63 @@ def parikh_vector(alphabet: Alphabet, word: str) -> tuple:
     return tuple(word.count(s) for s in alphabet.symbols)
 
 
-def _read(rows, positions: dict, word: str) -> None:
-    """rows <- rows M_v(word) in place, for the pattern v given by its
-    `_positions` and upper triangular rows (as every M_v(u) is).
+def _program(pattern: str) -> tuple:
+    """The elementary updates each letter makes to the generalized Parikh
+    matrix M_v of the pattern v, held flat and row-major as (m+1)^2 ints.
 
-    M_v(x) is the identity plus a 1 at (k, k+1) for each position k of v
-    that holds x, so reading x adds column k into column k+1, where only
-    rows 0..k are non-zero; descending positions read column k before the
-    same letter has advanced it.
+    Returns (d, read, rotate) with d = m + 1.  M_v(x) is the identity plus
+    a 1 at (k, k+1) for each position k of v that holds x.  `read` maps x
+    to the (target, source) pairs of rows <- rows M_v(x): column k into
+    column k+1 over rows 0..k, the only non-zero ones in column k of upper
+    triangular rows, for k descending so that column k is read before the
+    same letter has advanced it.  `rotate` maps x to (add, subtract), the
+    pairs of rows <- M_v(x)^-1 rows M_v(x): those column operations, then,
+    as left and right products commute, row k+1 out of row k for k
+    descending.  Both skip entry (k, k+1), the count of x, which the pair
+    leaves unchanged: the terms skipped are those that read the diagonal,
+    so the updates conjugate the strictly upper part alone, and the
+    identity is its own conjugate.
     """
+    d = len(pattern) + 1
+    read, rotate = {}, {}
+    for k in range(d - 2, -1, -1):
+        x = pattern[k]
+        column = [(r * d + k + 1, r * d + k) for r in range(k + 1)]
+        add, subtract = rotate.setdefault(x, ([], []))
+        read.setdefault(x, []).extend(column)
+        add.extend(column[:-1])
+        subtract.extend((k * d + j, (k + 1) * d + j) for j in range(k + 2, d))
+    return d, read, rotate
+
+
+def _read(flat: list, program: tuple, word: str) -> None:
+    """flat <- flat M_v(word) in place, for M_v compiled by `_program` and
+    flat upper triangular rows (as every M_v(u) is)."""
+    read = program[1]
     for ch in word:
-        for k in positions.get(ch, ()):
-            for row in rows[: k + 1]:
-                row[k + 1] += row[k]
+        for t, s in read.get(ch, ()):
+            flat[t] += flat[s]
 
 
 def _identity(d: int) -> list:
-    rows = [[0] * d for _ in range(d)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+    """The d x d identity, flat and row-major."""
+    flat = [0] * (d * d)
+    flat[:: d + 1] = [1] * d
+    return flat
+
+
+def _rows(flat: list, d: int) -> list:
+    """The d rows of a flat row-major d x d matrix."""
+    return [flat[i : i + d] for i in range(0, d * d, d)]
 
 
 def _parikh_rows(alphabet: Alphabet, word: str):
     """The integer rows of M_v(word) for the ladder v = a_1 ... a_s."""
     alphabet.validate(word)
-    rows = _identity(alphabet.size + 1)
-    _read(rows, alphabet._ladder, word)
-    return rows
+    d = alphabet.size + 1
+    flat = _identity(d)
+    _read(flat, alphabet._ladder, word)
+    return _rows(flat, d)
 
 
 def parikh_matrix(alphabet: Alphabet, word: str) -> UnitriangularMatrix:

@@ -39,6 +39,7 @@ from circparikh.circular import (
 )
 from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
 from circparikh.matrices import _tri_mul
+from circparikh.words import _program
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -145,11 +146,12 @@ def test_one_covering_call_sums_every_rotation(monkeypatch, spec):
             w = cw.canonical
             calls.clear()
             product_identity_check(cw)
-            assert calls == [(w, pi + pi[:-1]) for pi in coverings], cw
+            assert calls == [(w, _program(pi + pi[:-1])) for pi in coverings], cw
             for pi in coverings:
-                sums = _rotation_sums(w, pi + pi[:-1])
+                sums = _rotation_sums(w, _program(pi + pi[:-1]))
                 for i in range(s):
-                    assert sums[i][i + s] == _rotation_sums(w, pi[i:] + pi[:i])[0][-1], (cw, pi, i)
+                    rotation = _program(pi[i:] + pi[:i])
+                    assert sums[i][i + s] == _rotation_sums(w, rotation)[0][-1], (cw, pi, i)
 
 
 def mul_oracle(a, b):
@@ -291,7 +293,7 @@ def minor_oracle(alphabet, max_n):
     pairs = all_minor_pairs(alphabet.size + 1)
     for n in range(max_n + 1):
         for cw in necklace_oracle(alphabet, n):
-            rows = _rotation_sums(cw.canonical, ladder)
+            rows = _rotation_sums(cw.canonical, _program(ladder))
             for r, c in pairs:
                 det = leibniz_det([[rows[i][j] for j in c] for i in r])
                 if det < 0:

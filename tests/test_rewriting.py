@@ -273,6 +273,14 @@ class TestRuleTheorems:
         with pytest.raises(ValueError):
             ce2_condition(ABC, "a", "c", "b")
 
+    @pytest.mark.parametrize("symbols", ["ab", "abcd"])
+    def test_conditions_need_ternary(self, symbols):
+        message = f"rewriting rules require a ternary alphabet, got size {len(symbols)}"
+        with pytest.raises(ValueError, match=message):
+            ce1_condition(Alphabet(symbols), "a", "b")
+        with pytest.raises(ValueError, match=message):
+            ce2_condition(Alphabet(symbols), "a", "b", "a")
+
 
 class TestConditionsDefinedOnce:
     def test_conditions_match_the_paper_formulas(self):

@@ -1,10 +1,12 @@
 """The rotation kernel against brute-force per-shift sums.
 
-`_rotation_sums` conjugates one generalized Parikh matrix around the word;
-the oracles below recount every cyclic shift from scratch, which is how the
-class averages used to be computed: with the linear `_parikh_rows` for the
-ladder and, for any pattern, with an all-positions subword DP.  `_count`
-cannot serve there, as it shares `_positions` with the kernel.
+`_rotation_sums` conjugates one generalized Parikh matrix around the word,
+running a pattern compiled by `_program`; the oracles below recount every
+entry of every cyclic shift from scratch with `subword_count`, an
+all-positions subword DP of this file's own.  Neither `_count` nor
+`_parikh_rows` can serve there: `_count` is the package's other subword
+DP, and `_parikh_rows` reads the alphabet's compiled ladder, which the
+kernel runs too.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import pytest
 
 from circparikh import Alphabet, canonicalize, circular_parikh_matrix, m_equivalent
 from circparikh.circular import _rotation_sums
-from circparikh.words import _parikh_rows
+from circparikh.words import _program
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,13 +49,13 @@ def count_oracle(word, pattern, first=None):
 
 
 def ladder_oracle(alphabet, word):
-    d = alphabet.size + 1
-    total = [[0] * d for _ in range(d)]
-    for u in shifts(word):
-        for trow, row in zip(total, _parikh_rows(alphabet, u)):
-            for j, value in enumerate(row):
-                trow[j] += value
-    return total
+    """Per-shift sums of the Parikh rows: entry (i, j) of M(u) counts the
+    ladder factor a_{i+1} ... a_j in u."""
+    return count_oracle(word, "".join(alphabet.symbols))
+
+
+def kernel(word, pattern, first=None):
+    return _rotation_sums(word, _program(pattern), first)
 
 
 def words_up_to(symbols, max_len):
@@ -72,7 +74,7 @@ def word_and_pattern(draw):
 @hypothesis.given(word_and_pattern())
 def test_kernel_matches_per_shift_counts(case):
     _, word, pattern = case
-    assert _rotation_sums(word, pattern) == count_oracle(word, pattern)
+    assert kernel(word, pattern) == count_oracle(word, pattern)
 
 
 @hypothesis.given(word_and_pattern(), st.data())
@@ -80,7 +82,7 @@ def test_shift_count_sums_the_first_shifts(case, data):
     _, word, pattern = case
     hypothesis.assume(word)
     first = data.draw(st.integers(0, len(word)), label="shifts")
-    assert _rotation_sums(word, pattern, first) == count_oracle(word, pattern, first)
+    assert kernel(word, pattern, first) == count_oracle(word, pattern, first)
 
 
 @st.composite
@@ -97,7 +99,7 @@ def test_every_shift_count_matches_the_oracle(case):
     # s = 0 sums no shift at all, so every entry is 0, the diagonal too.
     word, pattern = case
     for first in range(len(word) + 1):
-        assert _rotation_sums(word, pattern, first) == count_oracle(word, pattern, first), first
+        assert kernel(word, pattern, first) == count_oracle(word, pattern, first), first
 
 
 @st.composite
@@ -111,14 +113,15 @@ def power_and_pattern(draw):
 def test_one_period_of_a_power_is_a_pth_of_its_sums(case):
     # rot_{k+|u|}(u^p) = rot_k(u^p): the |u| p shifts repeat the first |u| p times.
     root, p, pattern = case
-    period = _rotation_sums(root * p, pattern, len(root))
+    period = kernel(root * p, pattern, len(root))
     assert [[p * e for e in row] for row in period] == count_oracle(root * p, pattern)
 
 
 @hypothesis.given(word_and_pattern())
 def test_ladder_kernel_matches_per_shift_parikh_rows(case):
     symbols, word, _ = case
-    assert _rotation_sums(word, symbols) == ladder_oracle(Alphabet(symbols), word)
+    alphabet = Alphabet(symbols)
+    assert _rotation_sums(word, alphabet._ladder) == ladder_oracle(alphabet, word)
 
 
 @hypothesis.given(word_and_pattern(), st.text(alphabet="abcd", max_size=12))
@@ -132,11 +135,12 @@ def test_m_equivalent_is_matrix_equality(case, other):
 
 def test_kernel_exhaustive_small():
     for symbols, max_len in (("ab", 7), ("abc", 5)):
+        alphabet = Alphabet(symbols)
         patterns = list(words_up_to(symbols, 3))
         for word in words_up_to(symbols, max_len):
-            assert _rotation_sums(word, symbols) == ladder_oracle(Alphabet(symbols), word)
+            assert _rotation_sums(word, alphabet._ladder) == ladder_oracle(alphabet, word)
             for pattern in patterns:
-                assert _rotation_sums(word, pattern) == count_oracle(word, pattern), (word, pattern)
+                assert kernel(word, pattern) == count_oracle(word, pattern), (word, pattern)
 
 
 def test_m_equivalent_exhaustive_small_across_lengths():
@@ -170,4 +174,27 @@ def test_every_shift_count_exhaustive_small():
             continue
         for pattern in patterns:
             for first, expected in enumerate(first_shift_sums(word, pattern)):
-                assert _rotation_sums(word, pattern, first) == expected, (word, pattern, first)
+                assert kernel(word, pattern, first) == expected, (word, pattern, first)
+
+
+@st.composite
+def ordered_case(draw):
+    # An alphabet out of code-point order, and a pattern with a repeated letter.
+    alphabet = Alphabet.parse(draw(st.sampled_from(["c,a,b", "b,d,a,c"])))
+    symbols = "".join(alphabet.symbols)
+    base = draw(st.text(alphabet=symbols, min_size=1, max_size=6))
+    at = draw(st.integers(0, len(base)))
+    pattern = base[:at] + draw(st.sampled_from(base)) + base[at:]
+    return alphabet, draw(st.text(alphabet=symbols, max_size=16)), pattern
+
+
+@hypothesis.given(ordered_case())
+def test_compiled_programs_match_the_oracle_for_every_shift_count(case):
+    # The alphabet's precompiled ladder and a pattern compiled per call, over
+    # every shift count 1..n and the default; λ sums to the identity.
+    alphabet, word, pattern = case
+    for program, v in ((alphabet._ladder, "".join(alphabet.symbols)), (_program(pattern), pattern)):
+        expected = first_shift_sums(word, v)
+        assert _rotation_sums(word, program) == expected[-1], v
+        for first in range(1, len(word) + 1):
+            assert _rotation_sums(word, program, first) == expected[first], (v, first)

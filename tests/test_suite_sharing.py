@@ -13,7 +13,8 @@ recompute everything for each word from scratch, as the suites used to:
 `circular_power_check`.  The call counts pin the sharing itself.
 The reader `words._read` behind `_parikh_rows` and the walk's step is
 checked entry by entry against `_count`, and for composition: reading w,
-then u, is reading w·u.
+then u, is reading w·u.  No call of `power`, `partition_by_matrix` or
+`_parikh_rows` compiles a program: the alphabet holds its ladder's.
 """
 
 import functools
@@ -25,6 +26,7 @@ import pytest
 from circparikh import (
     Alphabet,
     SuiteLimits,
+    avg_count,
     canonicalize,
     circular,
     circular_inverse_alternate_check,
@@ -36,7 +38,16 @@ from circparikh import (
 from circparikh.enumeration import _extend_counts, _walk
 from circparikh.matrices import _tri_mul
 from circparikh.rewriting import _counts, _factors
-from circparikh.words import _count, _parikh_rows, _positions, _read, permutation_identity_check
+from circparikh.words import (
+    _count,
+    _identity,
+    _parikh_rows,
+    _positions,
+    _program,
+    _read,
+    _rows,
+    permutation_identity_check,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -90,9 +101,10 @@ def factor_counts(word, pattern):
 
 
 def read(pattern, word):
-    rows = factor_counts("", pattern)  # the identity
-    _read(rows, _positions(pattern), word)
-    return rows
+    d = len(pattern) + 1
+    flat = _identity(d)
+    _read(flat, _program(pattern), word)
+    return _rows(flat, d)
 
 
 @pytest.mark.parametrize("spec, max_n", [("a,b,c", 7), ("c,a,b", 6), ("a,b,c,d", 5)])
@@ -104,9 +116,9 @@ def test_read_ladder_rows_count_factors(spec, max_n):
     for w in words_up_to(alphabet.symbols, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
-        walked = _parikh_rows(alphabet, w[:-1])
-        _read(walked, _positions(ladder), w[-1:])
-        assert walked == rows, w
+        walked = [e for row in _parikh_rows(alphabet, w[:-1]) for e in row]
+        _read(walked, alphabet._ladder, w[-1:])
+        assert _rows(walked, alphabet.size + 1) == rows, w
 
 
 patterns = st.text(alphabet="abc", min_size=1, max_size=6)
@@ -120,9 +132,9 @@ def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
 
 @hypothesis.given(patterns, texts, texts)
 def test_reading_w_then_u_is_reading_wu(pattern, w, u):
-    rows = read(pattern, w)
-    _read(rows, _positions(pattern), u)
-    assert rows == read(pattern, w + u)
+    flat = [e for row in read(pattern, w) for e in row]
+    _read(flat, _program(pattern), u)
+    assert _rows(flat, len(pattern) + 1) == read(pattern, w + u)
 
 
 def always_holds(factors):
@@ -217,10 +229,27 @@ def test_product_identity_counts_no_word_from_scratch(monkeypatch):
 
 
 def test_linear_rules_reads_only_the_root_from_scratch(monkeypatch):
-    rows_calls = []
-    monkeypatch.setattr(enumeration, "_parikh_rows", counting(rows_calls, _parikh_rows))
+    # The root is the identity; every other word's rows are its parent's with
+    # one letter read, at each of the walk's (3^(n+1) - 3) / 2 steps to n <= 8.
+    read_calls = []
+    monkeypatch.setattr(enumeration, "_read", counting(read_calls, _read))
     assert enumeration.run_suite("linear-rules").passed
-    assert rows_calls == [(ABC, "")]
+    assert {len(word) for _, _, word in read_calls} == {1}
+    assert len(read_calls) == sum((3 ** (n + 1) - 3) // 2 for n in range(9))
+
+
+def test_ladder_calls_compile_nothing(monkeypatch):
+    compiled = []
+    stand_in = counting(compiled, words._program)
+    for module in (words, circular):
+        monkeypatch.setattr(module, "_program", stand_in)
+    assert enumeration.run_suite("power").passed
+    enumeration.partition_by_matrix(ABC, 7)
+    _parikh_rows(ABC, "abcabca")
+    assert compiled == []
+    # The count sees a compile: an alphabet's ladder, a pattern of `avg_count`.
+    avg_count(canonicalize(Alphabet("ba"), "aab"), "ab")
+    assert compiled == [("ba",), ("ab",)]
 
 
 @pytest.mark.parametrize(
