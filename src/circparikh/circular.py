@@ -166,7 +166,8 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
 def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list:
     """Integer rows whose (i, j) entry sums the count of v[i:j] over the
     first `shifts` <= |word| cyclic shifts of `word` (all of them by
-    default; the identity for λ), for the pattern v compiled by `_program`: the
+    default; the identity for λ; a ValueError for a count outside
+    0..|word|), for the pattern v compiled by `_program`: the
     generalized Parikh matrix M_v is a morphism, so rotating the front
     letter x to the back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
 
@@ -177,12 +178,15 @@ def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list
     they start at shifts * M_v(word), and a change c at step s stays in
     the last shifts - s of the summed matrices, so it adds (shifts - s) c.
     """
+    n = len(word)
+    shifts = n if shifts is None else shifts
+    if not 0 <= shifts <= n:
+        raise ValueError(f"shifts must be in 0..{n}, got {shifts}")
     d, _, rotate = program
     flat = _identity(d)
     _read(flat, program, word)
     if not word:
         return _rows(flat, d)
-    shifts = len(word) if shifts is None else shifts
     sums = [shifts * e for e in flat]
     # Step s rotates word[s - 1] to the back, with weight shifts - s.
     for weight, x in zip(range(shifts - 1, 0, -1), word):
@@ -316,18 +320,28 @@ def weak_ratio(alphabet: Alphabet, u: str, v: str) -> bool:
 def product_identity_check(cw: CircularWord) -> bool:
     """Check that the avg_count values of all s! full-alphabet permutation
     words sum to the product of the single-letter counts: in integers, that
-    their rotation sums add up to n times the product, n = max(|w|, 1).
+    their rotation sums add up to n times the product, n = max(|w|, 1)."""
+    return _product_identity_holds(cw, _coverings(cw.alphabet))
 
-    The s rotations of a permutation π are the length-s factors of
-    π·π[:-1], so one kernel call on that pattern yields all their sums, at
-    the entries (i, i+s): one call per permutation that starts with the
-    least symbol."""
+
+def _coverings(alphabet: Alphabet) -> list:
+    """The compiled patterns π·π[:-1], one per permutation π of the alphabet
+    that starts with the least symbol.  The s rotations of π are the
+    length-s factors of π·π[:-1], so these cover every permutation."""
+    least, *rest = alphabet.symbols
+    pis = (least + "".join(p) for p in itertools.permutations(rest))
+    return [_program(pi + pi[:-1]) for pi in pis]
+
+
+def _product_identity_holds(cw: CircularWord, programs: list) -> bool:
+    """The permutation-sum identity of [w], given the `_coverings` of its
+    alphabet: one kernel call per covering π·π[:-1], whose entries (i, i+s)
+    sum rotation i of π."""
     w = cw.canonical
-    least, *rest = syms = cw.alphabet.symbols
+    syms = cw.alphabet.symbols
     s, total = len(syms), 0
-    for p in itertools.permutations(rest):
-        pi = least + "".join(p)
-        sums = _rotation_sums(w, _program(pi + pi[:-1]))
+    for program in programs:
+        sums = _rotation_sums(w, program)
         total += sum(sums[i][i + s] for i in range(s))
     return total == max(cw.length, 1) * math.prod(w.count(x) for x in syms)
 

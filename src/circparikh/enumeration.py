@@ -23,10 +23,10 @@ from operator import itemgetter
 from . import circular
 from .circular import (
     CircularWord,
+    _coverings,
     _ladder_sums,
     _sums_inverse_alternate,
     canonicalize,
-    product_identity_check,
     slender_partition_check,
 )
 from .matrices import _tri_mul
@@ -140,11 +140,17 @@ def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
     a group are M-equivalent, members of different groups are not.
 
     The key is `UnitriangularMatrix.key` of the circular Parikh matrix,
-    formatted from the strictly-upper ladder sums over max(n, 1)."""
+    formatted from the strictly-upper ladder sums over max(n, 1), each
+    distinct sum once."""
     scale = max(n, 1)
+    texts = {}
 
     def key(sums):
-        return ",".join(str(Fraction(e, scale)) for i, row in enumerate(sums) for e in row[i + 1 :])
+        upper = [e for i, row in enumerate(sums) for e in row[i + 1 :]]
+        for e in upper:
+            if e not in texts:
+                texts[e] = str(Fraction(e, scale))
+        return ",".join(map(texts.__getitem__, upper))
 
     classes = _necklace_classes(alphabet, n)
     return MEquivClassReport(alphabet, n, {key(sums): tuple(v) for sums, v in classes.items()})
@@ -192,16 +198,26 @@ def _walk(symbols, max_len: int, root, step):
         yield from below("", root, n)
 
 
-def _extend_counts(patterns, dps, x):
-    """The subword-count DPs of w·x from those of w, one per pattern given
-    by its `_positions`: dp[j] counts the placements of pattern[:j]."""
-    out = []
-    for positions, dp in zip(patterns, dps):
-        dp = dp.copy()
-        for j in positions.get(x, ()):
-            dp[j + 1] += dp[j]
-        out.append(dp)
-    return out
+def _count_updates(patterns) -> dict:
+    """The subword-count DPs of `patterns` held one after another on one
+    flat list, a block of |pattern| + 1 entries each, whose entry j counts
+    the placements of pattern[:j]: each letter mapped to the (target,
+    source) pairs that advance them all, the `_positions` of each pattern
+    offset to its block."""
+    updates, offset = {}, 0
+    for pattern in patterns:
+        for x, positions in _positions(pattern).items():
+            updates.setdefault(x, []).extend((offset + j + 1, offset + j) for j in positions)
+        offset += len(pattern) + 1
+    return updates
+
+
+def _extend_flat(updates, flat, x):
+    """The flat DPs of w·x from those of w, for `updates` from `_count_updates`."""
+    flat = flat.copy()
+    for t, s in updates.get(x, ()):
+        flat[t] += flat[s]
+    return flat
 
 
 def _ladder_sums_by_word(alphabet: Alphabet):
@@ -284,15 +300,23 @@ def _necklace_checks(check, message, alphabet, max_length):
 
 def _product_identity(alphabet, max_length):
     """The subword counts of the s! permutation words sum to the letter-count
-    product: linearly with one DP step per word, then per necklace."""
+    product: linearly with one flat DP step per word, then per necklace
+    with the alphabet's `_coverings`, compiled once, handed to
+    `circular._product_identity_holds`, read at call time."""
     symbols = alphabet.symbols
-    patterns = [_positions("".join(p)) for p in itertools.permutations(symbols)]
-    root = [[1] + [0] * len(symbols) for _ in patterns]
-    for w, dps in _walk(symbols, max_length, root, partial(_extend_counts, patterns)):
-        ok = sum(dp[-1] for dp in dps) == math.prod(w.count(s) for s in symbols)
+    d = len(symbols) + 1
+    patterns = ["".join(p) for p in itertools.permutations(symbols)]
+    root = ([1] + [0] * (d - 1)) * len(patterns)
+    step = partial(_extend_flat, _count_updates(patterns))
+    for w, flat in _walk(symbols, max_length, root, step):
+        ok = sum(flat[d - 1 :: d]) == math.prod(w.count(s) for s in symbols)
         yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
+    programs = _coverings(alphabet)
     yield from _necklace_checks(
-        product_identity_check, "circular permutation-sum identity fails", alphabet, max_length
+        lambda cw: circular._product_identity_holds(cw, programs),
+        "circular permutation-sum identity fails",
+        alphabet,
+        max_length,
     )
 
 

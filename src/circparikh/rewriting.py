@@ -81,26 +81,29 @@ def apply_e1(alphabet: Alphabet, word: str) -> set:
 
 def apply_e2(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one x·αb·y·bα·z <-> x·bα·y·αb·z swap with
-    y restricted to {α, b}."""
+    y restricted to {α, b}, from one scan of the word for both α."""
     _require_ternary(alphabet)
     alphabet.validate(word)
     b = alphabet.symbols[1]
     n = len(word)
-    out = set()
+    # Each of the four factors αb, bα -> its opposite and the letters of y.
+    swaps = {}
     for alpha, head, tail, *_ in _factors(alphabet, "CE2"):
-        allowed = (alpha, b)
-        opposite = {head: tail, tail: head}
-        for i in range(n - 3):
-            first = word[i : i + 2]
-            second = opposite.get(first)
-            if second is None:
-                continue
-            # y = word[i+2 : j] stays over {α, b} until the first other letter.
-            for j in range(i + 2, n - 1):
-                if word[j : j + 2] == second:
-                    out.add(word[:i] + second + word[i + 2 : j] + first + word[j + 2 :])
-                if word[j] not in allowed:
-                    break
+        swaps[head] = tail, (alpha, b)
+        swaps[tail] = head, (alpha, b)
+    out = set()
+    for i in range(n - 3):
+        first = word[i : i + 2]
+        swap = swaps.get(first)
+        if swap is None:
+            continue
+        second, allowed = swap
+        # y = word[i+2 : j] stays over {α, b} until the first other letter.
+        for j in range(i + 2, n - 1):
+            if word[j : j + 2] == second:
+                out.add(word[:i] + second + word[i + 2 : j] + first + word[j + 2 :])
+            if word[j] not in allowed:
+                break
     return out
 
 

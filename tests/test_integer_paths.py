@@ -313,7 +313,7 @@ def test_pruned_minor_search_matches_full_scan(spec, max_n):
     assert search_negative_minor(alphabet, max_n) == minor_oracle(alphabet, max_n)
 
 
-@pytest.mark.parametrize("spec, n", [("a,b", 8), ("c,a,b", 6), ("a,b,c,d", 4)])
+@pytest.mark.parametrize("spec, n", [("a,b", 8), ("c,a,b", 6), ("b,c,a", 7), ("a,b,c,d", 4)])
 def test_integer_class_keys_match_matrix_keys(spec, n):
     alphabet = Alphabet.parse(spec)
     classes = {}

@@ -198,3 +198,11 @@ def test_compiled_programs_match_the_oracle_for_every_shift_count(case):
         assert _rotation_sums(word, program) == expected[-1], v
         for first in range(1, len(word) + 1):
             assert _rotation_sums(word, program, first) == expected[first], (v, first)
+
+
+def test_shift_counts_beyond_the_word_raise():
+    # Two shifts of ab exist; four used to skip the missing steps silently.
+    assert kernel("ab", "ab", 2) == count_oracle("ab", "ab")
+    for first in (3, 4, -1):
+        with pytest.raises(ValueError, match="shifts must be in 0..2"):
+            kernel("ab", "ab", first)

@@ -14,7 +14,8 @@ recompute everything for each word from scratch, as the suites used to:
 The reader `words._read` behind `_parikh_rows` and the walk's step is
 checked entry by entry against `_count`, and for composition: reading w,
 then u, is reading w·u.  No call of `power`, `partition_by_matrix` or
-`_parikh_rows` compiles a program: the alphabet holds its ladder's.
+`_parikh_rows` compiles a program: the alphabet holds its ladder's; and
+`product-identity` compiles each covering π·π[:-1] once per run.
 """
 
 import functools
@@ -33,9 +34,10 @@ from circparikh import (
     circular_power_check,
     enumeration,
     m_equivalent,
+    product_identity_check,
     words,
 )
-from circparikh.enumeration import _extend_counts, _walk
+from circparikh.enumeration import _count_updates, _extend_flat, _walk
 from circparikh.matrices import _tri_mul
 from circparikh.rewriting import _counts, _factors
 from circparikh.words import (
@@ -163,10 +165,9 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
 @hypothesis.given(st.text(alphabet="abc", max_size=30))
 def test_extended_counts_match_count(word):
     patterns = ["".join(p) for p in itertools.permutations("abc")]
-    positions = [_positions(p) for p in patterns]
-    root = [[1, 0, 0, 0] for _ in patterns]
-    dps = functools.reduce(partial(_extend_counts, positions), word, root)
-    assert [dp[-1] for dp in dps] == [_count(word, p) for p in patterns]
+    root = [1, 0, 0, 0] * len(patterns)
+    flat = functools.reduce(partial(_extend_flat, _count_updates(patterns)), word, root)
+    assert flat[3::4] == [_count(word, p) for p in patterns]
 
 
 def counting(calls, kernel):
@@ -308,4 +309,45 @@ def test_power_verdicts_match_the_check(monkeypatch, symbols, perturbed):
     oracle = [circular_power_check(cw, p) for cw in necklaces for p in range(1, 5)]
     cases = enumeration._suite("power").cases(alphabet, max_length=6, max_power=4)
     assert [case is None for case in cases] == oracle
+    assert set(oracle) == ({True, False} if perturbed else {True})
+
+
+def test_product_identity_compiles_each_covering_once(monkeypatch):
+    # One covering of the binary alphabet and two of the ternary one, each
+    # compiled once per run rather than once per necklace.
+    compiled = []
+    stand_in = counting(compiled, words._program)
+    for module in (words, circular):
+        monkeypatch.setattr(module, "_program", stand_in)
+    assert enumeration.run_suite("product-identity").passed
+    assert compiled == [("aba",), ("abcab",), ("acbac",)]
+
+
+def odd_words_raised(kernel):
+    """`_rotation_sums` with entry (0, s) of a covering's sums, the sum of
+    its π itself, raised by one for the words of odd length."""
+
+    def stand_in(word, program, *shifts):
+        sums = kernel(word, program, *shifts)
+        if len(word) % 2:
+            sums[0][program[0] // 2] += 1
+        return sums
+
+    return stand_in
+
+
+@pytest.mark.parametrize("symbols", ["ab", "abc"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_product_identity_verdicts_match_the_check(monkeypatch, symbols, perturbed):
+    # With a perturbed kernel, read by the suite and the check alike, the
+    # identity fails on the necklaces of odd length: both verdicts.  The
+    # check compiles its coverings per call, the suite once per run.
+    if perturbed:
+        monkeypatch.setattr(circular, "_rotation_sums", odd_words_raised(circular._rotation_sums))
+    alphabet = Alphabet(symbols)
+    necklaces = [cw for n in range(7) for cw in enumeration.enumerate_necklaces(alphabet, n)]
+    oracle = [product_identity_check(cw) for cw in necklaces]
+    cases = enumeration._suite("product-identity").cases(alphabet, max_length=6)
+    linear = sum(alphabet.size**n for n in range(7))
+    assert [case is None for case in itertools.islice(cases, linear, None)] == oracle
     assert set(oracle) == ({True, False} if perturbed else {True})
