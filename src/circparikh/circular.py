@@ -184,7 +184,7 @@ def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list
         raise ValueError(f"shifts must be in 0..{n}, got {shifts}")
     d, _, rotate = program
     flat = _identity(d)
-    _read(flat, program, word)
+    _read(flat, program[1], word)
     if not word:
         return _rows(flat, d)
     sums = [shifts * e for e in flat]

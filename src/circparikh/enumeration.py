@@ -31,7 +31,7 @@ from .circular import (
 )
 from .matrices import _tri_mul
 from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
-from .words import Alphabet, _identity, _positions, _read, mirror, parikh_vector
+from .words import Alphabet, _count_updates, _identity, _read, mirror, parikh_vector
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -179,45 +179,25 @@ class SuiteResult:
         return self.failure_count == 0
 
 
-def _walk(symbols, max_len: int, root, step):
+def _walk(symbols, max_len: int, root, updates):
     """(w, state of w) for every word w up to max_len, by length and then in
-    `itertools.product` order, where `root` is the state of λ and
-    `step(state, x)` the state of w·x.  Depth-first to each length in turn
-    through the prefix tree, so it holds one root-to-leaf path of states,
-    never a whole level; over two or more letters it takes about
-    |Σ| / (|Σ| - 1) steps per word."""
+    `itertools.product` order, where `root` is the flat DP state of λ and
+    the state of w·x is a copy of that of w with x read by `_read` through
+    `updates`.  Depth-first to each length in turn through the prefix tree,
+    so it holds one root-to-leaf path of states, never a whole level; over
+    two or more letters it takes about |Σ| / (|Σ| - 1) steps per word."""
 
     def below(word, state, depth):
         if not depth:
             yield word, state
             return
         for x in symbols:
-            yield from below(word + x, step(state, x), depth - 1)
+            child = state.copy()
+            _read(child, updates, x)
+            yield from below(word + x, child, depth - 1)
 
     for n in range(max_len + 1):
         yield from below("", root, n)
-
-
-def _count_updates(patterns) -> dict:
-    """The subword-count DPs of `patterns` held one after another on one
-    flat list, a block of |pattern| + 1 entries each, whose entry j counts
-    the placements of pattern[:j]: each letter mapped to the (target,
-    source) pairs that advance them all, the `_positions` of each pattern
-    offset to its block."""
-    updates, offset = {}, 0
-    for pattern in patterns:
-        for x, positions in _positions(pattern).items():
-            updates.setdefault(x, []).extend((offset + j + 1, offset + j) for j in positions)
-        offset += len(pattern) + 1
-    return updates
-
-
-def _extend_flat(updates, flat, x):
-    """The flat DPs of w·x from those of w, for `updates` from `_count_updates`."""
-    flat = flat.copy()
-    for t, s in updates.get(x, ()):
-        flat[t] += flat[s]
-    return flat
 
 
 def _ladder_sums_by_word(alphabet: Alphabet):
@@ -307,8 +287,7 @@ def _product_identity(alphabet, max_length):
     d = len(symbols) + 1
     patterns = ["".join(p) for p in itertools.permutations(symbols)]
     root = ([1] + [0] * (d - 1)) * len(patterns)
-    step = partial(_extend_flat, _count_updates(patterns))
-    for w, flat in _walk(symbols, max_length, root, step):
+    for w, flat in _walk(symbols, max_length, root, _count_updates(patterns)):
         ok = sum(flat[d - 1 :: d]) == math.prod(w.count(s) for s in symbols)
         yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
     programs = _coverings(alphabet)
@@ -343,14 +322,8 @@ def _linear_rules(alphabet, max_length):
     words.  A w2 = u·v of length n, |u| = n // 2, is looked up at rank
     rank(u) |Σ|^|v| + rank(v); any other w2 fails.  Equal rows are one
     shared tuple."""
-    symbols, ladder = alphabet.symbols, alphabet._ladder
-
-    def step(flat, x):  # the flat linear Parikh rows of w·x from those of w
-        flat = flat.copy()
-        _read(flat, ladder, x)
-        return flat
-
-    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), step)
+    symbols = alphabet.symbols
+    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), alphabet._ladder[1])
     for n, level in itertools.groupby(walk, lambda item: len(item[0])):
         distinct = {}
         rows = [distinct.setdefault(r, r) for r in (tuple(flat) for _, flat in level)]

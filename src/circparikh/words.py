@@ -96,34 +96,28 @@ def mirror(word: str) -> str:
     return word[::-1]
 
 
-def _positions(pattern: str) -> dict:
-    """Each letter of `pattern` mapped to the positions that hold it, in
-    descending order, so that a step from position k to k + 1 reads k
-    before the same letter has advanced it."""
-    positions = {}
-    for k in range(len(pattern) - 1, -1, -1):
-        positions.setdefault(pattern[k], []).append(k)
-    return positions
+def _count_updates(patterns) -> dict:
+    """The subword-count DPs of `patterns` held one after another on one
+    flat list, a block of |pattern| + 1 entries each, whose entry j counts
+    the placements of pattern[:j]: each letter x mapped to the (target,
+    source) pairs that advance them all, j into j + 1 at each position j
+    that holds x, in descending order so that `_read` reads entry j before
+    the same letter has advanced it."""
+    updates, offset = {}, 0
+    for pattern in patterns:
+        for j in range(len(pattern) - 1, -1, -1):
+            updates.setdefault(pattern[j], []).append((offset + j + 1, offset + j))
+        offset += len(pattern) + 1
+    return updates
 
 
 def _count(word: str, pattern: str) -> int:
-    """Occurrences of `pattern` as a scattered subword of `word`.
-
-    dp[j] counts the placements of pattern[:j] in the prefix read so far;
-    reading a letter advances only the pattern positions that hold it, so
-    a letter costs O(1) plus one step per such position, not O(m).
-    """
-    m = len(pattern)
-    if m == 0:
-        return 1
-    if m == 1:
-        return word.count(pattern)
-    positions = _positions(pattern)
-    dp = [1] + [0] * m
-    for ch in word:
-        for j in positions.get(ch, ()):
-            dp[j + 1] += dp[j]
-    return dp[m]
+    """Occurrences of `pattern` as a scattered subword of `word`: one DP
+    read, where a letter costs O(1) plus one step per position that holds
+    it, not O(m)."""
+    dp = [1] + [0] * len(pattern)
+    _read(dp, _count_updates((pattern,)), word)
+    return dp[-1]
 
 
 def count_subword(word: str, pattern: str, alphabet: Alphabet | None = None) -> int:
@@ -173,12 +167,13 @@ def _program(pattern: str) -> tuple:
     return d, read, rotate
 
 
-def _read(flat: list, program: tuple, word: str) -> None:
-    """flat <- flat M_v(word) in place, for M_v compiled by `_program` and
-    flat upper triangular rows (as every M_v(u) is)."""
-    read = program[1]
+def _read(flat: list, updates: dict, word: str) -> None:
+    """Read `word` into the flat DP list `flat` in place: each letter adds
+    entry s into entry t for each of its (t, s) pairs in `updates`, from
+    `_count_updates` or the `read` of `_program` (then flat <- flat M_v(word)
+    for flat upper triangular rows, as every M_v(u) is)."""
     for ch in word:
-        for t, s in read.get(ch, ()):
+        for t, s in updates.get(ch, ()):
             flat[t] += flat[s]
 
 
@@ -199,7 +194,7 @@ def _parikh_rows(alphabet: Alphabet, word: str):
     alphabet.validate(word)
     d = alphabet.size + 1
     flat = _identity(d)
-    _read(flat, alphabet._ladder, word)
+    _read(flat, alphabet._ladder[1], word)
     return _rows(flat, d)
 
 

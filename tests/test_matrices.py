@@ -267,11 +267,30 @@ def test_from_json_rejects_garbage():
         ('{"dim": "2", "entries": [[1, 0], [0, 1]]}', "dim must be an integer"),
         ('{"dim": 2.0, "entries": [[1, 0], [0, 1]]}', "dim must be an integer"),
         ('{"dim": true, "entries": [[1]]}', "dim must be an integer"),
+        ('{"dim": 2, "entries": [["1", "0"], ["1"]]}', "^expected rows of length 2$"),
+        ('{"dim": 2, "entries": [["1", "0"], "01"]}', "^expected rows of length 2$"),
     ],
 )
 def test_from_json_type_checks_dim_and_entries(text, message):
     with pytest.raises(ValueError, match=message):
         UnitriangularMatrix.from_json(text)
+
+
+def test_operators_with_other_types():
+    # Multiplying by an int and comparing with a tuple fall back to Python's
+    # defaults: a TypeError and inequality.
+    identity = UnitriangularMatrix.identity(2)
+    with pytest.raises(TypeError):
+        identity * 2
+    assert identity != ((1, 0), (0, 1))
+
+
+def test_equal_matrices_hash_equal():
+    a = UnitriangularMatrix([[1, F(1, 2)], [0, 1]])
+    b = UnitriangularMatrix.from_json('{"dim": 2, "entries": [["1", "2/4"], ["0", "1"]]}')
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_from_json_rejects_booleans():

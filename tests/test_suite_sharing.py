@@ -9,18 +9,18 @@ keeps T^p as a running product, and its kernel and product calls and those
 of the circular check of `product-identity` are pinned.  The oracles
 recompute everything for each word from scratch, as the suites used to:
 `words_up_to` below, `permutation_identity_check`, `_parikh_rows`,
-`_count`, `m_equivalent`, `circular_inverse_alternate_check` and
-`circular_power_check`.  The call counts pin the sharing itself.
-The reader `words._read` behind `_parikh_rows` and the walk's step is
-checked entry by entry against `_count`, and for composition: reading w,
-then u, is reading w·u.  No call of `power`, `partition_by_matrix` or
-`_parikh_rows` compiles a program: the alphabet holds its ladder's; and
-`product-identity` compiles each covering π·π[:-1] once per run.
+`reference_count` below, `m_equivalent`, `circular_inverse_alternate_check`
+and `circular_power_check`.  The call counts pin the sharing itself.
+The reader `words._read` behind `_count`, `_parikh_rows` and the walk's
+step is checked entry by entry against `reference_count`, a textbook DP
+that shares no code with it, and for composition: reading w, then u, is
+reading w·u.  No call of `power`, `partition_by_matrix` or `_parikh_rows`
+compiles a program: the alphabet holds its ladder's; `product-identity`
+compiles each covering π·π[:-1] once per run, and its walk's table once
+per alphabet.
 """
 
-import functools
 import itertools
-from functools import partial
 
 import pytest
 
@@ -37,14 +37,13 @@ from circparikh import (
     product_identity_check,
     words,
 )
-from circparikh.enumeration import _count_updates, _extend_flat, _walk
+from circparikh.enumeration import _walk
 from circparikh.matrices import _tri_mul
 from circparikh.rewriting import _counts, _factors
 from circparikh.words import (
-    _count,
+    _count_updates,
     _identity,
     _parikh_rows,
-    _positions,
     _program,
     _read,
     _rows,
@@ -63,12 +62,25 @@ def words_up_to(symbols, max_len):
             yield "".join(tup)
 
 
+def reference_count(word, pattern):
+    """|word|_pattern by the textbook DP: dp[j] counts the placements of
+    pattern[:j] in the prefix read so far, and each letter advances every
+    position that holds it, the last position first."""
+    dp = [1] + [0] * len(pattern)
+    for ch in word:
+        for j in reversed(range(len(pattern))):
+            if pattern[j] == ch:
+                dp[j + 1] += dp[j]
+    return dp[-1]
+
+
 @pytest.mark.parametrize("symbols", ["a", "ab", "abc", "abcd"])
 def test_walk_yields_words_up_to_order(symbols):
-    # With the word itself as the state, each state is the path that led to it.
-    walked = list(_walk(symbols, 6, "", lambda state, x: state + x))
+    # With one single-letter DP per symbol as the state, each state holds the
+    # letter counts of the path that led to it.
+    walked = list(_walk(symbols, 6, [1, 0] * len(symbols), _count_updates(symbols)))
     assert [w for w, _ in walked] == list(words_up_to(symbols, 6))
-    assert all(w == state for w, state in walked)
+    assert all(state[1::2] == [w.count(s) for s in symbols] for w, state in walked)
 
 
 def linear_verdicts(alphabet, max_length):
@@ -85,11 +97,11 @@ def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel)
     # fails for some words: both verdicts.
     table = str.maketrans(relabel)
 
-    def relabeled(pattern):
-        return _positions(pattern.translate(table))
+    def relabeled(patterns):
+        return _count_updates([pattern.translate(table) for pattern in patterns])
 
-    monkeypatch.setattr(enumeration, "_positions", relabeled)
-    monkeypatch.setattr(words, "_positions", relabeled)
+    monkeypatch.setattr(enumeration, "_count_updates", relabeled)
+    monkeypatch.setattr(words, "_count_updates", relabeled)
     oracle = [permutation_identity_check(ABC, w) for w in words_up_to(ABC.symbols, 7)]
     assert linear_verdicts(ABC, 7) == oracle
     assert set(oracle) == ({True} if not relabel else {True, False})
@@ -99,13 +111,15 @@ def factor_counts(word, pattern):
     """M_v(word) by its defining identity: entry (i, j) counts v[i:j] in
     the word for i <= j, and is 0 below the diagonal."""
     d = len(pattern) + 1
-    return [[_count(word, pattern[i:j]) if i <= j else 0 for j in range(d)] for i in range(d)]
+    return [
+        [reference_count(word, pattern[i:j]) if i <= j else 0 for j in range(d)] for i in range(d)
+    ]
 
 
 def read(pattern, word):
     d = len(pattern) + 1
     flat = _identity(d)
-    _read(flat, _program(pattern), word)
+    _read(flat, _program(pattern)[1], word)
     return _rows(flat, d)
 
 
@@ -119,7 +133,7 @@ def test_read_ladder_rows_count_factors(spec, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
         walked = [e for row in _parikh_rows(alphabet, w[:-1]) for e in row]
-        _read(walked, alphabet._ladder, w[-1:])
+        _read(walked, alphabet._ladder[1], w[-1:])
         assert _rows(walked, alphabet.size + 1) == rows, w
 
 
@@ -135,7 +149,7 @@ def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
 @hypothesis.given(patterns, texts, texts)
 def test_reading_w_then_u_is_reading_wu(pattern, w, u):
     flat = [e for row in read(pattern, w) for e in row]
-    _read(flat, _program(pattern), u)
+    _read(flat, _program(pattern)[1], u)
     assert _rows(flat, len(pattern) + 1) == read(pattern, w + u)
 
 
@@ -165,9 +179,39 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
 @hypothesis.given(st.text(alphabet="abc", max_size=30))
 def test_extended_counts_match_count(word):
     patterns = ["".join(p) for p in itertools.permutations("abc")]
-    root = [1, 0, 0, 0] * len(patterns)
-    flat = functools.reduce(partial(_extend_flat, _count_updates(patterns)), word, root)
-    assert flat[3::4] == [_count(word, p) for p in patterns]
+    flat = [1, 0, 0, 0] * len(patterns)
+    _read(flat, _count_updates(patterns), word)
+    assert flat[3::4] == [reference_count(word, p) for p in patterns]
+
+
+def test_product_identity_walk_counts_every_permutation_prefix(monkeypatch):
+    # Entry j of a permutation's block, at every word the walk of the linear
+    # half yields, counts the permutation's first j letters in that word.
+    walked = []
+
+    def recording(*args):
+        for item in _walk(*args):
+            walked.append(item)
+            yield item
+
+    monkeypatch.setattr(enumeration, "_walk", recording)
+    assert all(linear_verdicts(ABC, 7))
+    patterns = ["".join(p) for p in itertools.permutations("abc")]
+    assert [w for w, _ in walked] == list(words_up_to("abc", 7))
+    for w, flat in walked:
+        assert flat == [reference_count(w, p[:j]) for p in patterns for j in range(4)], w
+
+
+def test_product_identity_compiles_one_table_per_alphabet(monkeypatch):
+    # The walk's permutation DPs are compiled once per alphabet, not per step.
+    compiled = []
+    stand_in = counting(compiled, _count_updates)
+    for module in (words, enumeration):
+        monkeypatch.setattr(module, "_count_updates", stand_in)
+    assert enumeration.run_suite("product-identity").passed
+    assert compiled == [
+        (["".join(p) for p in itertools.permutations(symbols)],) for symbols in ("ab", "abc")
+    ]
 
 
 def counting(calls, kernel):

@@ -54,6 +54,14 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(["ab"])
 
+    def test_index_of_a_foreign_symbol_names_it(self):
+        with pytest.raises(ValueError, match=r"^symbol 'x' is not in alphabet a,b,c$"):
+            ABC.index("x")
+
+    def test_not_equal_to_its_spec(self):
+        assert (ABC == "abc") is False
+        assert ABC == Alphabet.parse("a,b,c")
+
     def test_validate_names_offending_symbol(self):
         with pytest.raises(ValueError, match="'x'"):
             ABC.validate("axb")
