@@ -157,10 +157,10 @@ def _least_start(t: str, letters: str) -> int:
 
 def direct_count(cw: CircularWord, pattern: str) -> int:
     """Occurrences of the circular pattern [pattern] in a representative:
-    the sum of |w|_u over the distinct rotations u of the pattern."""
+    the sum of |w|_u over the distinct rotations u of the pattern, counted
+    in one read of w."""
     cw.alphabet.validate(pattern)
-    w = cw.canonical
-    return sum(_count(w, u) for u in conjugacy_class(pattern))
+    return sum(_count(cw.canonical, *conjugacy_class(pattern)))
 
 
 def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list:
@@ -350,7 +350,9 @@ def slender_partition_check(cw: CircularWord) -> bool:
     """Check that direct_count over one representative per conjugacy class
     of the length-s slender words sums to the product of letter counts.
     A slender word has exactly one rotation that starts with the least
-    symbol, so the permutations that do are the representatives."""
+    symbol, so the permutations that do are the representatives; their
+    rotations, the s! permutations, are counted in one read of w."""
     least, *rest = syms = cw.alphabet.symbols
-    total = sum(direct_count(cw, least + "".join(p)) for p in itertools.permutations(rest))
+    reps = (least + "".join(p) for p in itertools.permutations(rest))
+    total = sum(_count(cw.canonical, *(u for v in reps for u in conjugacy_class(v))))
     return total == math.prod(cw.canonical.count(s) for s in syms)

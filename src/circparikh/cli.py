@@ -34,8 +34,6 @@ BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 # Enumeration guard rails for classes, search-minor and verify (about size^n / n necklaces).
 _LENGTH_CAPS = {1: 16, 2: 16, 3: 12, 4: 8}
-# On a shared two-core Xeon with Python 3.11, ce2-iff takes about 1.3 s at
-# split 7 and power about 1.0 s at power 12, 1.3 s at power 16.
 _MAX_SPLIT = 8
 _MAX_POWER = 16
 

@@ -111,13 +111,16 @@ def _count_updates(patterns) -> dict:
     return updates
 
 
-def _count(word: str, pattern: str) -> int:
-    """Occurrences of `pattern` as a scattered subword of `word`: one DP
-    read, where a letter costs O(1) plus one step per position that holds
-    it, not O(m)."""
-    dp = [1] + [0] * len(pattern)
-    _read(dp, _count_updates((pattern,)), word)
-    return dp[-1]
+def _count(word: str, *patterns: str) -> list:
+    """Occurrences of each of `patterns` as a scattered subword of `word`:
+    one read of their `_count_updates` table, where a letter costs O(1)
+    plus one step per position that holds it, not O(m) per pattern."""
+    dp, ends = [], []
+    for pattern in patterns:
+        dp += [1] + [0] * len(pattern)
+        ends.append(len(dp) - 1)
+    _read(dp, _count_updates(patterns), word)
+    return [dp[end] for end in ends]
 
 
 def count_subword(word: str, pattern: str, alphabet: Alphabet | None = None) -> int:
@@ -129,7 +132,7 @@ def count_subword(word: str, pattern: str, alphabet: Alphabet | None = None) -> 
     if alphabet is not None:
         alphabet.validate(word)
         alphabet.validate(pattern)
-    return _count(word, pattern)
+    return _count(word, pattern)[0]
 
 
 def parikh_vector(alphabet: Alphabet, word: str) -> tuple:
@@ -224,9 +227,7 @@ def permutation_identity_check(alphabet: Alphabet, word: str) -> bool:
     """Check that the subword counts of the s! permutations of the full
     alphabet sum to the product of the single-letter counts."""
     alphabet.validate(word)
-    total = sum(
-        _count(word, "".join(p)) for p in itertools.permutations(alphabet.symbols)
-    )
+    total = sum(_count(word, *map("".join, itertools.permutations(alphabet.symbols))))
     return total == math.prod(word.count(s) for s in alphabet.symbols)
 
 
@@ -241,10 +242,6 @@ def inverse_identity_check(alphabet: Alphabet, word: str) -> bool:
     alphabet.validate(word)
     a, b, c = alphabet.symbols
     na, nb, nc = word.count(a), word.count(b), word.count(c)
-    rhs = (
-        na * nb * nc
-        - na * _count(word, b + c)
-        - _count(word, a + b) * nc
-        + _count(word, a + b + c)
-    )
-    return _count(mirror(word), a + b + c) == rhs
+    # |mirror(w)|_abc = |w|_cba: the left side is read with the rest.
+    bc, ab, abc, cba = _count(word, b + c, a + b, a + b + c, c + b + a)
+    return cba == na * nb * nc - na * bc - ab * nc + abc

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ import pytest
 
 from circparikh import UnitriangularMatrix
 from circparikh.cli import main
+from circparikh.enumeration import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -371,3 +374,97 @@ def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and err == ""
+
+
+def test_every_command_line_keeps_the_exit_contract(tmp_path):
+    """Generated command lines over every command, its flags and tokens no
+    command takes exit 0, 1, 2 or 64, with no traceback, and every 64 says
+    why.  Words have at most 5 letters, lengths at most 5 and splits and
+    powers at most 3; any other bound is negative, not a number or above
+    every cap, and is refused before any work.  `--dot` paths lie inside
+    `tmp_path`."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def line(*groups):
+        return st.tuples(*groups).map(lambda parts: [token for part in parts for token in part])
+
+    def opt(name, values):
+        return st.just([]) | values.map(lambda value: [name, value])
+
+    def small(most):
+        return st.integers(0, most).map(str)
+
+    above_caps_or_negative = st.integers(17, 10**6) | st.integers(-(10**6), -1)
+    refused = above_caps_or_negative.map(str) | st.sampled_from(["x", ""])
+
+    def bound(most):
+        return small(most) | refused
+
+    def fixed(*tokens):
+        return st.just(list(tokens))
+
+    word = st.text("abcd[]x", max_size=5).map(lambda w: [w])
+    specs = ["a,b,c", "a,b", "c,a,b", "a", "a,b,c,d", "", "a,a", "ab,c", "a,b,c,d,e"]
+    alphabet = opt("-a", st.sampled_from(specs))
+    dot = st.sampled_from([tmp_path / "g.dot", tmp_path / "missing" / "g.dot"]).map(str)
+
+    def verify(bounds):
+        return line(
+            fixed("verify"),
+            opt("--suite", st.sampled_from([*SUITE_NAMES, "nope"])),
+            *(
+                bounds(most).map(lambda value, flag=flag: [flag, value])
+                for flag, most in (("--max-length", 5), ("--max-split", 3), ("--max-power", 3))
+            ),
+            opt("--failure-cap", st.integers(-2, 3).map(str)),
+        )
+
+    commands = st.one_of(
+        line(
+            fixed("count"),
+            alphabet,
+            opt("--mode", st.sampled_from(["linear", "direct", "average", "x"])),
+            word,
+            word,
+        ),
+        line(
+            fixed("matrix"),
+            alphabet,
+            fixed() | fixed("--circular"),
+            opt("--format", st.sampled_from(["text", "json", "csv"])),
+            word,
+        ),
+        line(fixed("mequiv"), alphabet, word, word),
+        line(
+            fixed("rules"),
+            alphabet,
+            opt("--rule", st.sampled_from(["CE1", "CE2", "both", "CE3"])),
+            fixed() | fixed("--closure"),
+            opt("--dot", dot),
+            opt("--max-steps", st.integers(-2, 50).map(str)),
+            word,
+        ),
+        line(
+            fixed("classes"),
+            alphabet,
+            opt("--length", bound(5)),
+            opt("--format", st.sampled_from(["text", "json", "csv", "x"])),
+        ),
+        verify(small),
+        verify(bound),
+        line(fixed("search-minor"), alphabet, opt("--max-length", bound(5))),
+    )
+    junk = st.lists(st.sampled_from(["--bogus", "-x", "extra", "nope"]), max_size=1)
+
+    @hypothesis.given(line(commands, junk) | junk)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 64), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 64:
+            assert re.fullmatch(r"circparikh: error: \S.*\n", err.getvalue(), re.S), argv
+
+    check()

@@ -14,13 +14,18 @@ and `circular_power_check`.  The call counts pin the sharing itself.
 The reader `words._read` behind `_count`, `_parikh_rows` and the walk's
 step is checked entry by entry against `reference_count`, a textbook DP
 that shares no code with it, and for composition: reading w, then u, is
-reading w·u.  No call of `power`, `partition_by_matrix` or `_parikh_rows`
+reading w·u.  `_count` reads many patterns in one pass: its counts are
+checked pattern by pattern against `reference_count`, each public count
+and identity check reads the word once, and under a wrong count table
+each identity check reports the identity of the counts it read, false on
+some words.  No call of `power`, `partition_by_matrix` or `_parikh_rows`
 compiles a program: the alphabet holds its ladder's; `product-identity`
 compiles each covering π·π[:-1] once per run, and its walk's table once
 per alphabet.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -32,9 +37,13 @@ from circparikh import (
     circular,
     circular_inverse_alternate_check,
     circular_power_check,
+    count_subword,
+    direct_count,
     enumeration,
+    inverse_identity_check,
     m_equivalent,
     product_identity_check,
+    slender_partition_check,
     words,
 )
 from circparikh.enumeration import _walk
@@ -90,16 +99,22 @@ def linear_verdicts(alphabet, max_length):
     return [case is None for case in itertools.islice(cases, linear)]
 
 
+def relabeled_count_updates(table):
+    """`_count_updates` of the patterns with `table` applied: a wrong count
+    table whenever `table` maps a symbol to another."""
+
+    def stand_in(patterns):
+        return _count_updates([pattern.translate(table) for pattern in patterns])
+
+    return stand_in
+
+
 @pytest.mark.parametrize("relabel", [{}, {"c": "a"}])
 def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel):
     # With `relabel` applied to the patterns whose DPs are counted, on both
     # sides, but not to the letters whose counts are multiplied, the identity
     # fails for some words: both verdicts.
-    table = str.maketrans(relabel)
-
-    def relabeled(patterns):
-        return _count_updates([pattern.translate(table) for pattern in patterns])
-
+    relabeled = relabeled_count_updates(str.maketrans(relabel))
     monkeypatch.setattr(enumeration, "_count_updates", relabeled)
     monkeypatch.setattr(words, "_count_updates", relabeled)
     oracle = [permutation_identity_check(ABC, w) for w in words_up_to(ABC.symbols, 7)]
@@ -182,6 +197,93 @@ def test_extended_counts_match_count(word):
     flat = [1, 0, 0, 0] * len(patterns)
     _read(flat, _count_updates(patterns), word)
     assert flat[3::4] == [reference_count(word, p) for p in patterns]
+
+
+count_patterns = st.lists(
+    st.one_of(st.text(alphabet="abc", max_size=5), st.sampled_from(["", "aa", "abab", "bcbcb"])),
+    max_size=6,
+)
+
+
+@hypothesis.given(count_patterns, texts)
+def test_count_matches_reference_count_pattern_by_pattern(patterns, word):
+    # λ, repeated letters, periodic patterns and a duplicate in one read.
+    patterns += patterns[:1]
+    assert words._count(word, *patterns) == [reference_count(word, p) for p in patterns]
+
+
+def rotations(pattern):
+    return {pattern[i:] + pattern[:i] for i in range(len(pattern))}
+
+
+@pytest.mark.parametrize("symbols", ["ab", "abc", "cab"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_identity_checks_report_the_identity_of_their_counts(monkeypatch, symbols, perturbed):
+    # With the last symbol read as the first in every counted pattern, but
+    # not in the letter counts, each identity fails on some words; each
+    # verdict is the identity of those counts taken by `reference_count`.
+    table = str.maketrans({symbols[-1]: symbols[0]} if perturbed else {})
+    monkeypatch.setattr(words, "_count_updates", relabeled_count_updates(table))
+    alphabet = Alphabet(symbols)
+
+    def count(word, pattern):
+        return reference_count(word, pattern.translate(table))
+
+    def product(word):
+        return math.prod(word.count(s) for s in symbols)
+
+    def permutation_sum(w):
+        return sum(count(w, "".join(p)) for p in itertools.permutations(symbols))
+
+    def slender_sum(w):
+        reps = [p for p in map("".join, itertools.permutations(symbols)) if p[0] == symbols[0]]
+        return sum(count(w, u) for v in reps for u in rotations(v))
+
+    def inverse_holds(w):
+        a, b, c = symbols
+        rhs = product(w) - w.count(a) * count(w, b + c) - count(w, a + b) * w.count(c)
+        return count(w[::-1], a + b + c) == rhs + count(w, a + b + c)
+
+    linear = list(words_up_to(symbols, 6))
+    necklaces = [cw for n in range(7) for cw in enumeration.enumerate_necklaces(alphabet, n)]
+    checks = {
+        "permutation": (
+            [permutation_identity_check(alphabet, w) for w in linear],
+            [permutation_sum(w) == product(w) for w in linear],
+        ),
+        "slender": (
+            [slender_partition_check(cw) for cw in necklaces],
+            [slender_sum(cw.canonical) == product(cw.canonical) for cw in necklaces],
+        ),
+    }
+    if len(symbols) == 3:
+        checks["inverse"] = (
+            [inverse_identity_check(alphabet, w) for w in linear],
+            [inverse_holds(w) for w in linear],
+        )
+    for name, (verdicts, oracle) in checks.items():
+        assert verdicts == oracle, name
+        assert set(oracle) == ({True, False} if perturbed else {True}), name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_subword("abacbc", "aba"),
+        lambda: direct_count(canonicalize(ABC, "abacbc"), "abab"),
+        lambda: permutation_identity_check(ABC, "abacbc"),
+        lambda: inverse_identity_check(ABC, "abacbc"),
+        lambda: slender_partition_check(canonicalize(ABC, "abacbc")),
+    ],
+    ids=["count_subword", "direct_count", "permutation", "inverse", "slender"],
+)
+def test_each_count_reads_the_word_once(monkeypatch, call):
+    # One read of the word itself (a necklace's canonical word), the mirror
+    # of the inverse identity included, whatever the number of patterns.
+    read_calls = []
+    monkeypatch.setattr(words, "_read", counting(read_calls, _read))
+    call()
+    assert [word for _, _, word in read_calls] == ["abacbc"]
 
 
 def test_product_identity_walk_counts_every_permutation_prefix(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from circparikh import (
     Alphabet,
     UnitriangularMatrix,
+    canonicalize,
     count_subword,
+    direct_count,
     inverse_identity_check,
     mirror,
     parikh_matrix,
@@ -114,6 +116,22 @@ class TestCountSubword:
         def check(case):
             word, pattern = case
             assert count_subword(word, pattern) == brute_count(word, pattern)
+
+        check()
+
+    def test_direct_count_sums_brute_force_over_distinct_rotations(self):
+        # The pattern's rotations are read together: λ, repeated letters and
+        # periodic patterns, whose rotations repeat, each counted once.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        periodic = st.sampled_from(["", "aa", "abab", "abcabc"])
+        patterns = st.one_of(st.text("abc", max_size=5), periodic)
+
+        @hypothesis.given(st.text("abc", max_size=10), patterns)
+        def check(word, pattern):
+            cw = canonicalize(ABC, word)
+            distinct = {pattern[i:] + pattern[:i] for i in range(len(pattern))} or {""}
+            assert direct_count(cw, pattern) == sum(brute_count(cw.canonical, u) for u in distinct)
 
         check()
 
