@@ -14,9 +14,8 @@ Two counting modes exist for a pattern v in a circular word [w]:
   of [w]; an exact rational.
 
 The circular Parikh matrix is the class average of the linear Parikh
-matrices.  Both averages come from one integer rotation kernel, which runs
-a pattern compiled by `words._program` (the alphabet's ladder is compiled
-once, by `Alphabet`) on one flat list of ints.
+matrices.  Both averages come from one integer rotation kernel,
+`_rotation_sums`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _identity, _program, _read, _rows, mirror
+from .words import Alphabet, _count, _identity, _Ladder, _ladder_kernel, _program, _read, _rows, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -85,12 +84,19 @@ def canonicalize(alphabet: Alphabet, word: str) -> CircularWord:
     """Canonical form of the circular word represented by `word`.
 
     Conjugate representatives map to the same CircularWord.  One
-    `str.translate` rejects foreign symbols and, unless the alphabet is
-    already in code-point order, one more makes code-point order the
-    alphabet's order; `_least_start` then finds the least rotation with
-    string operations.
+    `str.translate` rejects foreign symbols, then `_canonical` finds the
+    least rotation.
     """
     alphabet.validate(word)
+    return _canonical(alphabet, word)
+
+
+def _canonical(alphabet: Alphabet, word: str) -> CircularWord:
+    """`canonicalize` of a word known to be over the alphabet, such as a
+    rearrangement of a validated word.  Unless the alphabet is already in
+    code-point order, one `str.translate` makes code-point order the
+    alphabet's order; `_least_start` then finds the least rotation with
+    string operations."""
     table = alphabet._to_sorted
     start = _least_start(word.translate(table) if table else word, alphabet._sorted)
     return CircularWord(alphabet, word[start:] + word[:start])
@@ -177,16 +183,24 @@ def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list
     The sums grow as the rotation goes, never adding up a whole matrix:
     they start at shifts * M_v(word), and a change c at step s stays in
     the last shifts - s of the summed matrices, so it adds (shifts - s) c.
+
+    An alphabet's ladder (a `_Ladder`, as `Alphabet` compiles it) runs the
+    same updates through `_ladder_kernel(s)`, straight-line code generated
+    once per alphabet size, with each entry a local variable; any other
+    program, compiled per call or per suite, runs the tables here, as
+    generating its code would cost more than the few calls made with it.
     """
     n = len(word)
     shifts = n if shifts is None else shifts
     if not 0 <= shifts <= n:
         raise ValueError(f"shifts must be in 0..{n}, got {shifts}")
-    d, _, rotate = program
-    flat = _identity(d)
-    _read(flat, program[1], word)
+    d, read, rotate = program
     if not word:
-        return _rows(flat, d)
+        return _rows(_identity(d), d)
+    if isinstance(program, _Ladder):
+        return _ladder_kernel(d - 1)(word, shifts, *program.letters)
+    flat = _identity(d)
+    _read(flat, read, word)
     sums = [shifts * e for e in flat]
     # Step s rotates word[s - 1] to the back, with weight shifts - s.
     for weight, x in zip(range(shifts - 1, 0, -1), word):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .circular import CircularWord, avg_count, canonicalize, conjugacy_class, m_equivalent
+from .circular import CircularWord, _canonical, avg_count, canonicalize, conjugacy_class, m_equivalent
 from .words import Alphabet, parikh_vector
 
 
@@ -217,9 +217,10 @@ def _find_all(text: str, sub: str, start: int, end: int):
 
 
 def _applications(cw: CircularWord, rule: str) -> list:
-    """Every site of `rule` in [w] with its canonicalized result."""
+    """Every site of `rule` in [w] with its canonicalized result, which
+    rearranges the letters of [w] and so needs no validation."""
     return [
-        RuleApplication(rule, *site, canonicalize(cw.alphabet, result))
+        RuleApplication(rule, *site, _canonical(cw.alphabet, result))
         for site, result in _sites(cw, rule)
     ]
 

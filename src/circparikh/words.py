@@ -11,6 +11,7 @@ when they differ in at least one position.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -21,7 +22,8 @@ class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols.
 
     Besides each symbol's rank it holds its ladder a_1 ... a_s compiled by
-    `_program`, so the ladder kernels compile nothing per call."""
+    `_program` as a `_Ladder`, so the ladder kernels compile nothing per
+    call."""
 
     __slots__ = ("symbols", "_rank", "_ladder", "_foreign", "_sorted", "_to_sorted")
 
@@ -36,7 +38,8 @@ class Alphabet:
             raise ValueError(f"alphabet symbols must be distinct: {','.join(syms)}")
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
-        self._ladder = _program("".join(syms))
+        self._ladder = _Ladder(_program("".join(syms)))
+        self._ladder.letters = syms
         # Translation tables: deleting the symbols leaves the foreign ones,
         # and mapping the i-th symbol to the i-th smallest in code-point order
         # makes string comparison follow the alphabet's order (empty when the
@@ -168,6 +171,61 @@ def _program(pattern: str) -> tuple:
         add.extend(column[:-1])
         subtract.extend((k * d + j, (k + 1) * d + j) for j in range(k + 2, d))
     return d, read, rotate
+
+
+class _Ladder(tuple):
+    """The `_program` (d, read, rotate) of an alphabet's ladder, whose
+    `letters` a_1 ... a_s the rotation kernel hands to `_ladder_kernel(s)`."""
+
+    letters: tuple
+
+
+@functools.cache
+def _ladder_kernel(s: int):
+    """The rotation kernel of the s-letter ladder as one straight-line
+    function (word, shifts, *letters) -> rows, which returns what
+    `circular._rotation_sums` returns for that ladder and a word that is
+    not λ.  Built from `_ladder_source(s)` on first use and kept for the
+    size, so a run pays once per alphabet size, not per call."""
+    namespace = {}
+    exec(_ladder_source(s), namespace)
+    return namespace["kernel"]
+
+
+def _ladder_source(s: int) -> str:
+    """Source of `_ladder_kernel(s)`, a function of s alone: the letters
+    are its arguments x0 .. x(s-1), never text in the source.  Entry i of
+    the flat matrix and of the sums is the local m<i> and s<i>, for the
+    strictly upper entries only, as the diagonal stays 1 (and shifts in
+    the sums) and the rest 0.  One if/elif branch per letter, in the read
+    and again in the rotation, applies the (target, source) pairs of
+    `_program`'s `read` and `rotate` for that letter, in their order; a
+    source on the diagonal is the constant 1."""
+    d, read, rotate = _program("".join(map(chr, range(s))))
+    diagonal = range(0, d * d, d + 1)
+    upper = [i * d + j for i in range(d) for j in range(i + 1, d)]
+    xs = [f"x{k}" for k in range(s)]
+    src = [
+        f"def kernel(word, shifts, {', '.join(xs)}):",
+        f"    {' = '.join(f'm{i}' for i in upper)} = 0",
+        "    for ch in word:",
+    ]
+    for k, x in enumerate(xs):
+        src.append(f"        {'elif' if k else 'if'} ch == {x}:")
+        src += [f"            m{t} += {1 if f in diagonal else f'm{f}'}" for t, f in read[chr(k)]]
+    src += [f"    s{i} = shifts * m{i}" for i in upper]
+    src.append("    for weight, ch in zip(range(shifts - 1, 0, -1), word):")
+    for k, x in enumerate(xs):
+        src.append(f"        {'elif' if k else 'if'} ch == {x}:")
+        for pairs, op in zip(rotate[chr(k)], "+-"):
+            for t, f in pairs:
+                src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f} * weight"]
+        if not any(rotate[chr(k)]):
+            src.append("            pass")
+    entries = ["shifts" if i in diagonal else f"s{i}" if i in upper else "0" for i in range(d * d)]
+    rows = (f"[{', '.join(entries[i : i + d])}]" for i in range(0, d * d, d))
+    src.append(f"    return [{', '.join(rows)}]")
+    return "\n".join(src) + "\n"
 
 
 def _read(flat: list, updates: dict, word: str) -> None:
