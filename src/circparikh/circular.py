@@ -14,8 +14,9 @@ Two counting modes exist for a pattern v in a circular word [w]:
   of [w]; an exact rational.
 
 The circular Parikh matrix is the class average of the linear Parikh
-matrices.  Both averages come from one integer rotation kernel,
-`_rotation_sums`.
+matrices.  Both averages conjugate one integer matrix around the word:
+`_rotation_total` sums the entries a pattern's callers read, and
+`_rotation_sums` every entry of an alphabet's ladder.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _identity, _Ladder, _ladder_kernel, _program, _read, _rows, mirror
+from .words import Alphabet, _count, _identity, _ladder_kernel, _program, _read, _rows, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -169,53 +170,58 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
     return sum(_count(cw.canonical, *conjugacy_class(pattern)))
 
 
-def _rotation_sums(word: str, program: tuple, shifts: int | None = None) -> list:
-    """Integer rows whose (i, j) entry sums the count of v[i:j] over the
-    first `shifts` <= |word| cyclic shifts of `word` (all of them by
-    default; the identity for λ; a ValueError for a count outside
-    0..|word|), for the pattern v compiled by `_program`: the
-    generalized Parikh matrix M_v is a morphism, so rotating the front
-    letter x to the back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+def _rotation_sums(word: str, alphabet: Alphabet, shifts: int | None = None) -> list:
+    """Integer rows whose (i, j) entry sums the count of the ladder factor
+    a_{i+1} ... a_j of `alphabet` over the first `shifts` <= |word| cyclic
+    shifts of `word` (all of them by default; the identity for λ; a
+    ValueError for a count outside 0..|word|), conjugated around the word
+    as in `_rotation_total`.
 
-    The build (`_read`) and each rotation run the program's updates of the
-    letter on one flat list, O(m) per position of v that holds it, and a
-    letter absent from v costs O(1); rows are reshaped only at return.
-    The sums grow as the rotation goes, never adding up a whole matrix:
-    they start at shifts * M_v(word), and a change c at step s stays in
-    the last shifts - s of the summed matrices, so it adds (shifts - s) c.
-
-    An alphabet's ladder (a `_Ladder`, as `Alphabet` compiles it) runs the
-    same updates through `_ladder_kernel(s)`, straight-line code generated
-    once per alphabet size, with each entry a local variable; any other
-    program, compiled per call or per suite, runs the tables here, as
-    generating its code would cost more than the few calls made with it.
+    Every entry is summed, as it changes: the sums start at shifts times
+    M(word), and a change c at step s stays in the last shifts - s of the
+    summed matrices, so it adds (shifts - s) c.  `_ladder_kernel(s)` runs
+    this as straight-line code generated once per alphabet size, with each
+    entry a local variable.
     """
     n = len(word)
     shifts = n if shifts is None else shifts
     if not 0 <= shifts <= n:
         raise ValueError(f"shifts must be in 0..{n}, got {shifts}")
-    d, read, rotate = program
     if not word:
+        d = alphabet.size + 1
         return _rows(_identity(d), d)
-    if isinstance(program, _Ladder):
-        return _ladder_kernel(d - 1)(word, shifts, *program.letters)
+    return _ladder_kernel(alphabet.size)(word, shifts, *alphabet.symbols)
+
+
+def _rotation_total(word: str, program: tuple, entries) -> int:
+    """The flat `entries` of M_v summed over all |word| cyclic shifts of
+    `word` (over λ alone, the identity, for λ), for the pattern v compiled
+    by `_program`: M_v is a morphism, so rotating the front letter x to the
+    back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+
+    The build (`_read`) and each rotation run the program's updates of the
+    letter on one flat list, O(m) per position of v that holds it, and a
+    letter absent from v costs O(1).  Only the listed entries are summed,
+    into one integer, as each shift is reached: O(|entries|) per shift,
+    with no sums list.
+    """
+    d, read, rotate = program
     flat = _identity(d)
+    if not word:
+        return sum(flat[e] for e in entries)
     _read(flat, read, word)
-    sums = [shifts * e for e in flat]
-    # Step s rotates word[s - 1] to the back, with weight shifts - s.
-    for weight, x in zip(range(shifts - 1, 0, -1), word):
-        if x not in rotate:
-            continue
-        add, subtract = rotate[x]
-        for t, s in add:
-            v = flat[s]
-            flat[t] += v
-            sums[t] += v * weight
-        for t, s in subtract:
-            v = flat[s]
-            flat[t] -= v
-            sums[t] -= v * weight
-    return _rows(sums, d)
+    total = 0
+    # Add the entries of the shift starting at x, then rotate x to the back.
+    for x in word:
+        for e in entries:
+            total += flat[e]
+        if x in rotate:
+            add, subtract = rotate[x]
+            for t, s in add:
+                flat[t] += flat[s]
+            for t, s in subtract:
+                flat[t] -= flat[s]
+    return total
 
 
 def avg_count(cw: CircularWord, pattern: str) -> Fraction:
@@ -226,7 +232,8 @@ def avg_count(cw: CircularWord, pattern: str) -> Fraction:
     conjugate occurs equally often among the shifts.
     """
     cw.alphabet.validate(pattern)
-    return Fraction(_rotation_sums(cw.canonical, _program(pattern))[0][-1], max(cw.length, 1))
+    total = _rotation_total(cw.canonical, _program(pattern), [len(pattern)])
+    return Fraction(total, max(cw.length, 1))
 
 
 def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
@@ -245,7 +252,7 @@ def _ladder_sums(cw: CircularWord) -> tuple:
     """The rotation sums of the ladder a_1 ... a_s, hashable: |w| times the
     circular Parikh matrix.  Equal sums iff equal matrices, since each fixes
     |w| (diagonal / superdiagonal total)."""
-    return tuple(map(tuple, _rotation_sums(cw.canonical, cw.alphabet._ladder)))
+    return tuple(map(tuple, _rotation_sums(cw.canonical, cw.alphabet)))
 
 
 def binary_closed_form(na: int, nb: int) -> UnitriangularMatrix:
@@ -316,7 +323,7 @@ def _power_holds(cw: CircularWord, p: int, power) -> bool:
     if p == 1:
         shifted = power
     else:
-        shifted = _rotation_sums(cw.canonical * p, cw.alphabet._ladder, cw.length)
+        shifted = _rotation_sums(cw.canonical * p, cw.alphabet, cw.length)
     scale = max(cw.length, 1) ** (p - 1)
     return all(scale * e_s == e for row_s, row in zip(shifted, power) for e_s, e in zip(row_s, row))
 
@@ -340,23 +347,22 @@ def product_identity_check(cw: CircularWord) -> bool:
 
 def _coverings(alphabet: Alphabet) -> list:
     """The compiled patterns π·π[:-1], one per permutation π of the alphabet
-    that starts with the least symbol.  The s rotations of π are the
-    length-s factors of π·π[:-1], so these cover every permutation."""
+    that starts with the least symbol, each with the flat indices of its
+    entries (i, i+s), i < s.  The s rotations of π are the length-s factors
+    of π·π[:-1], so these cover every permutation."""
     least, *rest = alphabet.symbols
+    s = alphabet.size
     pis = (least + "".join(p) for p in itertools.permutations(rest))
-    return [_program(pi + pi[:-1]) for pi in pis]
+    return [(_program(pi + pi[:-1]), [i * (2 * s) + i + s for i in range(s)]) for pi in pis]
 
 
-def _product_identity_holds(cw: CircularWord, programs: list) -> bool:
+def _product_identity_holds(cw: CircularWord, coverings: list) -> bool:
     """The permutation-sum identity of [w], given the `_coverings` of its
     alphabet: one kernel call per covering π·π[:-1], whose entries (i, i+s)
     sum rotation i of π."""
     w = cw.canonical
     syms = cw.alphabet.symbols
-    s, total = len(syms), 0
-    for program in programs:
-        sums = _rotation_sums(w, program)
-        total += sum(sums[i][i + s] for i in range(s))
+    total = sum(_rotation_total(w, program, entries) for program, entries in coverings)
     return total == max(cw.length, 1) * math.prod(w.count(x) for x in syms)
 
 

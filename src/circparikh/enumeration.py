@@ -290,9 +290,9 @@ def _product_identity(alphabet, max_length):
     for w, flat in _walk(symbols, max_length, root, _count_updates(patterns)):
         ok = sum(flat[d - 1 :: d]) == math.prod(w.count(s) for s in symbols)
         yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
-    programs = _coverings(alphabet)
+    coverings = _coverings(alphabet)
     yield from _necklace_checks(
-        lambda cw: circular._product_identity_holds(cw, programs),
+        lambda cw: circular._product_identity_holds(cw, coverings),
         "circular permutation-sum identity fails",
         alphabet,
         max_length,

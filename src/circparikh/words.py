@@ -22,8 +22,7 @@ class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols.
 
     Besides each symbol's rank it holds its ladder a_1 ... a_s compiled by
-    `_program` as a `_Ladder`, so the ladder kernels compile nothing per
-    call."""
+    `_program`, so the ladder reads compile nothing per call."""
 
     __slots__ = ("symbols", "_rank", "_ladder", "_foreign", "_sorted", "_to_sorted")
 
@@ -38,8 +37,7 @@ class Alphabet:
             raise ValueError(f"alphabet symbols must be distinct: {','.join(syms)}")
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
-        self._ladder = _Ladder(_program("".join(syms)))
-        self._ladder.letters = syms
+        self._ladder = _program("".join(syms))
         # Translation tables: deleting the symbols leaves the foreign ones,
         # and mapping the i-th symbol to the i-th smallest in code-point order
         # makes string comparison follow the alphabet's order (empty when the
@@ -171,13 +169,6 @@ def _program(pattern: str) -> tuple:
         add.extend(column[:-1])
         subtract.extend((k * d + j, (k + 1) * d + j) for j in range(k + 2, d))
     return d, read, rotate
-
-
-class _Ladder(tuple):
-    """The `_program` (d, read, rotate) of an alphabet's ladder, whose
-    `letters` a_1 ... a_s the rotation kernel hands to `_ladder_kernel(s)`."""
-
-    letters: tuple
 
 
 @functools.cache

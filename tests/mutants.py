@@ -1,0 +1,135 @@
+"""Mutants of the package, kept as data.
+
+Each mutant replaces one exact text in one file and names the tests that
+fail under it.  An equivalent mutant, which no test can tell from the
+original, is kept with the reason and no killers; it is never dropped.
+`test_mutants.py` checks, cheaply, that each old text occurs exactly once
+in its file and that each killer names a test that exists, so a refactor
+that moves the code must update this table.  Applying a mutant and running
+its killers is done on a copy of the tree, never in place.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    killed_by: tuple
+    equivalent: str = ""
+
+
+CIRCULAR = "src/circparikh/circular.py"
+
+MUTANTS = [
+    Mutant(
+        "ladder sums drop the weight",
+        "src/circparikh/words.py",
+        'src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f} * weight"]',
+        'src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f}"]',
+        (
+            "tests/test_ladder_kernel.py::test_generated_kernel_follows_the_alphabet_not_its_text[c,a,b]",
+            "tests/test_rotation_kernel.py::test_ladder_kernel_matches_per_shift_parikh_rows",
+            "tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts",
+        ),
+    ),
+    Mutant(
+        "avg_count reads (0, m-1) for (0, m)",
+        CIRCULAR,
+        "_program(pattern), [len(pattern)])",
+        "_program(pattern), [len(pattern) - 1])",
+        (
+            "tests/test_rotation_kernel.py::test_avg_count_of_the_empty_word",
+            "tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts",
+        ),
+    ),
+    Mutant(
+        "the entry total of λ is 0",
+        CIRCULAR,
+        "        return sum(flat[e] for e in entries)",
+        "        return 0",
+        (
+            "tests/test_rotation_kernel.py::test_avg_count_of_the_empty_word",
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
+            "tests/test_rotation_kernel.py::test_kernel_matches_per_shift_counts",
+        ),
+    ),
+    Mutant(
+        "covering entries one column to the right",
+        CIRCULAR,
+        "[i * (2 * s) + i + s for i in range(s)]",
+        "[i * (2 * s) + i + s + 1 for i in range(s)]",
+        (
+            "tests/test_integer_paths.py::test_one_covering_call_sums_every_rotation[a,b]",
+            "tests/test_integer_paths.py::test_product_identity_matches_fraction_sum[a,b,c-6]",
+        ),
+    ),
+    Mutant(
+        "the entry total adds the row updates",
+        CIRCULAR,
+        "            for t, s in subtract:\n                flat[t] -= flat[s]",
+        "            for t, s in subtract:\n                flat[t] += flat[s]",
+        (
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[abc]",
+            "tests/test_rotation_kernel.py::test_kernel_exhaustive_small",
+        ),
+    ),
+    Mutant(
+        "the entry total reads only the first entry",
+        CIRCULAR,
+        "        for e in entries:\n            total += flat[e]",
+        "        for e in entries[:1]:\n            total += flat[e]",
+        (
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
+            "tests/test_integer_paths.py::test_product_identity_matches_fraction_sum[a,b,c-6]",
+        ),
+    ),
+    Mutant(
+        "the entry total skips the first shift",
+        CIRCULAR,
+        "    for x in word:\n        for e in entries:",
+        "    for x in word[1:]:\n        for e in entries:",
+        (
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
+            "tests/test_rotation_kernel.py::test_kernel_matches_per_shift_counts",
+        ),
+    ),
+    Mutant(
+        "the entry total reads each shift after rotating",
+        CIRCULAR,
+        "        for e in entries:\n            total += flat[e]\n"
+        "        if x in rotate:\n"
+        "            add, subtract = rotate[x]\n"
+        "            for t, s in add:\n                flat[t] += flat[s]\n"
+        "            for t, s in subtract:\n                flat[t] -= flat[s]\n",
+        "        if x in rotate:\n"
+        "            add, subtract = rotate[x]\n"
+        "            for t, s in add:\n                flat[t] += flat[s]\n"
+        "            for t, s in subtract:\n                flat[t] -= flat[s]\n"
+        "        for e in entries:\n            total += flat[e]\n",
+        (),
+        "the shifts read are 1..n instead of 0..n-1, and shift n is shift 0",
+    ),
+    Mutant(
+        "the ladder sums of λ come from the generated code",
+        CIRCULAR,
+        "    if not word:\n        d = alphabet.size + 1\n        return _rows(_identity(d), d)\n",
+        "",
+        (
+            "tests/test_ladder_kernel.py::test_generated_kernel_follows_the_alphabet_not_its_text[c,a,b]",
+            "tests/test_circular.py::TestCircularParikhMatrix::test_empty_is_identity",
+        ),
+    ),
+    Mutant(
+        "listings validate every site's result",
+        "src/circparikh/rewriting.py",
+        "RuleApplication(rule, *site, _canonical(cw.alphabet, result))",
+        "RuleApplication(rule, *site, canonicalize(cw.alphabet, result))",
+        (
+            "tests/test_rewriting.py::test_listings_validate_per_call_not_per_site[find_ce1]",
+            "tests/test_rewriting.py::test_listings_validate_per_call_not_per_site[find_ce2]",
+        ),
+    ),
+]

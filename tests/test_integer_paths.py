@@ -35,6 +35,7 @@ from circparikh.circular import (
     _ladder_sums,
     _power_holds,
     _rotation_sums,
+    _rotation_total,
     _sums_inverse_alternate,
 )
 from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
@@ -129,29 +130,32 @@ def test_product_identity_matches_fraction_sum(spec, max_n):
 @pytest.mark.parametrize("spec", ["a,b", "a,b,c", "a,b,c,d"])
 def test_one_covering_call_sums_every_rotation(monkeypatch, spec):
     # The check calls the kernel once per permutation π that starts with the
-    # least symbol, on π·π[:-1], whose entry (i, i+s) sums rotation i of π.
+    # least symbol, on π·π[:-1], for the entries (i, i+s) of its 2s x 2s
+    # matrix, and entry (i, i+s) sums rotation i of π.
     alphabet = Alphabet.parse(spec)
     least, *rest = alphabet.symbols
     s = alphabet.size
     coverings = [least + "".join(p) for p in itertools.permutations(rest)]
+    entries = [i * 2 * s + i + s for i in range(s)]
     calls = []
 
     def recording(*args):
         calls.append(args)
-        return _rotation_sums(*args)
+        return _rotation_total(*args)
 
-    monkeypatch.setattr(circular, "_rotation_sums", recording)
+    monkeypatch.setattr(circular, "_rotation_total", recording)
     for n in range(7):
         for cw in enumerate_necklaces(alphabet, n):
             w = cw.canonical
             calls.clear()
             product_identity_check(cw)
-            assert calls == [(w, _program(pi + pi[:-1])) for pi in coverings], cw
+            assert calls == [(w, _program(pi + pi[:-1]), entries) for pi in coverings], cw
             for pi in coverings:
-                sums = _rotation_sums(w, _program(pi + pi[:-1]))
-                for i in range(s):
+                program = _program(pi + pi[:-1])
+                for i, entry in enumerate(entries):
                     rotation = _program(pi[i:] + pi[:i])
-                    assert sums[i][i + s] == _rotation_sums(w, rotation)[0][-1], (cw, pi, i)
+                    got = _rotation_total(w, program, [entry])
+                    assert got == _rotation_total(w, rotation, [s]), (cw, pi, i)
 
 
 def mul_oracle(a, b):
@@ -289,11 +293,10 @@ def test_minor_pairs_keep_scan_order():
 
 
 def minor_oracle(alphabet, max_n):
-    ladder = "".join(alphabet.symbols)
     pairs = all_minor_pairs(alphabet.size + 1)
     for n in range(max_n + 1):
         for cw in necklace_oracle(alphabet, n):
-            rows = _rotation_sums(cw.canonical, _program(ladder))
+            rows = _rotation_sums(cw.canonical, alphabet)
             for r, c in pairs:
                 det = leibniz_det([[rows[i][j] for j in c] for i in r])
                 if det < 0:

@@ -1,11 +1,10 @@
-"""The generated ladder kernel against the table loop and an oracle.
+"""The generated ladder kernel against an oracle.
 
 `_rotation_sums` runs an alphabet's ladder through `words._ladder_kernel`,
-straight-line code generated once per alphabet size, and every other
-program through its (target, source) tables.  A plain tuple equal to the
-ladder is the same program run by the tables, so each case below is read
-both ways.  The oracle is this file's own: it counts the Parikh matrix of
-every cyclic shift afresh, letter by letter, and adds them up in order.
+straight-line code generated once per alphabet size; every other program
+runs through `_rotation_total`, which generates nothing.  The oracle is
+this file's own: it counts the Parikh matrix of every cyclic shift afresh,
+letter by letter, and adds them up in order.
 """
 
 import itertools
@@ -78,13 +77,12 @@ def words_up_to(symbols, max_len):
 
 
 def check_every_shift_count(alphabet, max_len):
-    ladder, table, memo = alphabet._ladder, tuple(alphabet._ladder), {}
+    memo = {}
     for word in words_up_to(alphabet.symbols, max_len):
         expected = shift_sums(alphabet.symbols, word, memo=memo)
         for shifts, sums in enumerate(expected):
-            got = _rotation_sums(word, ladder, shifts)
-            assert got == _rotation_sums(word, table, shifts) == sums, (word, shifts)
-        assert _rotation_sums(word, ladder) == expected[-1], word
+            assert _rotation_sums(word, alphabet, shifts) == sums, (word, shifts)
+        assert _rotation_sums(word, alphabet) == expected[-1], word
 
 
 @pytest.mark.parametrize("spec", ALPHABETS)
@@ -109,8 +107,7 @@ def long_case(draw):
 @hypothesis.given(long_case())
 def test_generated_kernel_matches_table_and_oracle_on_long_words(case):
     alphabet, word, shifts = case
-    got = _rotation_sums(word, alphabet._ladder, shifts)
-    assert got == _rotation_sums(word, tuple(alphabet._ladder), shifts)
+    got = _rotation_sums(word, alphabet, shifts)
     assert got == shift_sums(alphabet.symbols, word, shifts)[shifts]
 
 
@@ -156,7 +153,8 @@ def test_one_generation_per_alphabet_size(generated):
 
 
 def test_avg_count_and_coverings_generate_nothing(generated):
-    # A pattern equal to the ladder compiles per call and runs the tables.
+    # A pattern equal to the ladder compiles per call and runs
+    # `_rotation_total`, as the coverings do.
     for spec in ALPHABETS:
         alphabet = Alphabet.parse(spec)
         for cw in enumerate_necklaces(alphabet, 5):

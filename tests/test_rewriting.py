@@ -192,6 +192,22 @@ class TestFindCE2:
             find_ce2(canonicalize(AB, "abba"))
 
 
+@pytest.mark.parametrize("finder", [find_ce1, find_ce2])
+def test_listings_validate_per_call_not_per_site(monkeypatch, finder):
+    # A site's result rearranges the letters of a validated word, so a
+    # listing validates as often for hundreds of sites as for one.
+    necklaces = [canonicalize(ABC, w) for w in ("ccabcba", "acbca" * 30)]
+    validate, calls = Alphabet.validate, []
+    monkeypatch.setattr(Alphabet, "validate", lambda self, w: calls.append(w) or validate(self, w))
+    sites, per_call = [], []
+    for cw in necklaces:
+        calls.clear()
+        sites.append(len(finder(cw)))
+        per_call.append(len(calls))
+    assert sites[0] == 1 and sites[1] >= 800
+    assert per_call[0] == per_call[1] <= 1
+
+
 def split_pairs(max_total):
     for total in range(max_total + 1):
         for x_len in range(total + 1):

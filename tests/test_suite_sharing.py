@@ -346,17 +346,23 @@ def test_one_kernel_call_per_necklace(monkeypatch, suite, calls):
 
 # Over the 1 469 necklaces of `power` and `product-identity` (94 binary,
 # 1 375 ternary): power takes T once per necklace and the sums of w^p for
-# p = 2..4, 1 469 + 3 * 1 469 = 5 876 calls; product-identity one call per
-# permutation that starts with the least symbol, 94 + 2 * 1 375 = 2 844.
+# p = 2..4, 1 469 + 3 * 1 469 = 5 876 ladder calls; product-identity one
+# entry-total call per permutation that starts with the least symbol,
+# 94 + 2 * 1 375 = 2 844.  Neither suite calls the other kernel.
+KERNEL_OF = {"power": "_rotation_sums", "product-identity": "_rotation_total"}
+
+
 @pytest.mark.parametrize(
     "suite, calls, checked", [("power", 5876, 5876), ("product-identity", 2844, 11821)]
 )
 def test_kernel_calls_of_power_and_product_identity(monkeypatch, suite, calls, checked):
-    kernel_calls = []
-    monkeypatch.setattr(circular, "_rotation_sums", counting(kernel_calls, circular._rotation_sums))
+    kernel_calls = {name: [] for name in KERNEL_OF.values()}
+    for name, seen in kernel_calls.items():
+        monkeypatch.setattr(circular, name, counting(seen, getattr(circular, name)))
     result = enumeration.run_suite(suite)
     assert (result.passed, result.checked) == (True, checked)
-    assert len(kernel_calls) == calls
+    made = {name: len(seen) for name, seen in kernel_calls.items()}
+    assert made == {name: calls if name == KERNEL_OF[suite] else 0 for name in kernel_calls}
 
 
 def test_power_multiplies_once_for_each_p_above_one(monkeypatch):
@@ -470,14 +476,11 @@ def test_product_identity_compiles_each_covering_once(monkeypatch):
 
 
 def odd_words_raised(kernel):
-    """`_rotation_sums` with entry (0, s) of a covering's sums, the sum of
-    its π itself, raised by one for the words of odd length."""
+    """`_rotation_total` with a covering's total, the sum of its s
+    rotations of π, raised by one for the words of odd length."""
 
-    def stand_in(word, program, *shifts):
-        sums = kernel(word, program, *shifts)
-        if len(word) % 2:
-            sums[0][program[0] // 2] += 1
-        return sums
+    def stand_in(word, program, entries):
+        return kernel(word, program, entries) + len(word) % 2
 
     return stand_in
 
@@ -489,7 +492,7 @@ def test_product_identity_verdicts_match_the_check(monkeypatch, symbols, perturb
     # identity fails on the necklaces of odd length: both verdicts.  The
     # check compiles its coverings per call, the suite once per run.
     if perturbed:
-        monkeypatch.setattr(circular, "_rotation_sums", odd_words_raised(circular._rotation_sums))
+        monkeypatch.setattr(circular, "_rotation_total", odd_words_raised(circular._rotation_total))
     alphabet = Alphabet(symbols)
     necklaces = [cw for n in range(7) for cw in enumeration.enumerate_necklaces(alphabet, n)]
     oracle = [product_identity_check(cw) for cw in necklaces]
