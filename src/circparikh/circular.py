@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _identity, _ladder_kernel, _program, _read, _rows, mirror
+from .words import Alphabet, _count, _identity, _ladder_kernel, _program, _read, _record, _rows, mirror
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -52,7 +51,7 @@ def primitive_root(word: str) -> str:
     return word[: (word + word).find(word, 1)]
 
 
-@dataclass(frozen=True)
+@_record
 class CircularWord:
     """A conjugacy class, held by its canonical (least) rotation.
 

@@ -22,18 +22,21 @@ The scan reads the doubled word: `str.find` anchors each rotation at its
 tail and finds its heads, prefix letter counts give both sides of the
 side condition, and only the result is built, so a site costs O(1)
 Python work.  Each swap and its side condition are written once, in
-`_factors`; `ce1_condition` and `ce2_condition` apply them to strings.
+`_compile_rules`; `ce1_condition` and `ce2_condition` apply them to
+strings.  An alphabet's rule tables (the swaps, E2's opposite factors and
+the scan's letter indicators) are compiled on its first use and kept on
+it, so a rule call or a scanned node compiles nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .circular import CircularWord, _canonical, avg_count, canonicalize, conjugacy_class, m_equivalent
-from .words import Alphabet, parikh_vector
+from .words import Alphabet, _record, parikh_vector
 
 
 def _require_ternary(alphabet: Alphabet) -> None:
@@ -43,7 +46,7 @@ def _require_ternary(alphabet: Alphabet) -> None:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class RuleApplication:
     """One rule site: rotation index of the representative scanned, the
     lengths of the x and y parts (which pin the swap positions), the α
@@ -65,17 +68,16 @@ class RuleApplication:
 
 
 def apply_e1(alphabet: Alphabet, word: str) -> set:
-    """All words reachable from one ac <-> ca factor swap."""
+    """All words reachable from one ac <-> ca factor swap, each factor
+    found by `str.find`."""
     _require_ternary(alphabet)
     alphabet.validate(word)
-    ((_, ac, ca, *_),) = _factors(alphabet, "CE1")
     out = set()
-    for i in range(len(word) - 1):
-        pair = word[i : i + 2]
-        if pair == ac:
-            out.add(word[:i] + ca + word[i + 2 :])
-        elif pair == ca:
-            out.add(word[:i] + ac + word[i + 2 :])
+    for factor, opposite in _rules(alphabet).e1:
+        i = word.find(factor)
+        while i != -1:
+            out.add(word[:i] + opposite + word[i + 2 :])
+            i = word.find(factor, i + 1)
     return out
 
 
@@ -84,13 +86,8 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
     y restricted to {α, b}, from one scan of the word for both α."""
     _require_ternary(alphabet)
     alphabet.validate(word)
-    b = alphabet.symbols[1]
+    swaps = _rules(alphabet).e2
     n = len(word)
-    # Each of the four factors αb, bα -> its opposite and the letters of y.
-    swaps = {}
-    for alpha, head, tail, *_ in _factors(alphabet, "CE2"):
-        swaps[head] = tail, (alpha, b)
-        swaps[tail] = head, (alpha, b)
     out = set()
     for i in range(n - 3):
         first = word[i : i + 2]
@@ -149,17 +146,49 @@ def _ce2_sides(x: tuple, y: tuple) -> tuple:
 
 
 def _factors(alphabet: Alphabet, rule: str) -> tuple:
-    """The swaps x·head·y·tail -> x·tail·y·head of `rule` as (α, head, tail,
-    roles, sides): one for CE1 (α None), one per α in {a, c} for CE2, where
-    sides maps the counts of the `roles` letters in x and in y to both sides
-    of the side condition.  E1 and E2 swap the same factors."""
-    a, b, c = alphabet.symbols
-    if rule == "CE1":
-        return ((None, a + c, c + a, (a, b, c), _ce1_sides),)
-    return (
+    """The swaps of `rule` over a ternary alphabet, from its rule tables."""
+    return _rules(alphabet).factors[rule]
+
+
+_Rules = namedtuple("_Rules", "factors e1 e2 indicators")
+
+
+def _rules(alphabet: Alphabet) -> _Rules:
+    """The rule tables of a ternary alphabet, compiled on its first use and
+    kept on it."""
+    rules = alphabet._rules
+    if rules is None:
+        rules = alphabet._rules = _compile_rules(alphabet.symbols)
+    return rules
+
+
+def _compile_rules(symbols: tuple) -> _Rules:
+    """The rule tables of the ternary alphabet a < b < c of `symbols`:
+
+    * factors: "CE1" and "CE2" -> the rule's swaps x·head·y·tail ->
+      x·tail·y·head as (α, head, tail, roles, sides), one for CE1 (α None),
+      one per α in {a, c} for CE2, where sides maps the counts of the
+      `roles` letters in x and in y to both sides of the side condition;
+    * e1: (factor, opposite) for the factors ac and ca that E1 swaps;
+    * e2: each factor αb and bα that E2 swaps -> (its opposite, the
+      letters y may hold);
+    * indicators: (letter, table) per letter, where `str.translate` by the
+      table maps the letter to chr(1) and the others to chr(0).
+    """
+    a, b, c = symbols
+    ce1 = ((None, a + c, c + a, (a, b, c), _ce1_sides),)
+    ce2 = (
         (a, a + b, b + a, (a, b, c), _ce2_sides),
         (c, c + b, b + c, (c, b, a), _ce2_sides),
     )
+    e2 = {}
+    for alpha, head, tail, *_ in ce2:
+        e2[head] = tail, (alpha, b)
+        e2[tail] = head, (alpha, b)
+    indicators = tuple(
+        (letter, {ord(x): int(x == letter) for x in symbols}) for letter in symbols
+    )
+    return _Rules({"CE1": ce1, "CE2": ce2}, ((a + c, c + a), (c + a, a + c)), e2, indicators)
 
 
 def _sites(cw: CircularWord, rule: str):
@@ -178,7 +207,8 @@ def _sites(cw: CircularWord, rule: str):
     w = cw.canonical
     n = len(w)
     d = w + w
-    factors = _factors(cw.alphabet, rule)
+    rules = _rules(cw.alphabet)
+    factors = rules.factors[rule]
     anchors = sorted(
         (t, k)
         for k, (_, _, tail, *_) in enumerate(factors)
@@ -186,13 +216,12 @@ def _sites(cw: CircularWord, rule: str):
     )
     if not anchors:
         return
-    symbols = cw.alphabet.symbols
-    prefix = {}
-    for letter in symbols:
-        # With the letter made chr(1) and the others chr(0), d encodes to
-        # the bytes of the letter's indicator, which `accumulate` sums in C.
-        indicator = d.translate({ord(c): int(c == letter) for c in symbols}).encode()
-        prefix[letter] = list(accumulate(indicator, initial=0))
+    # d encodes to the bytes of each letter's indicator, which `accumulate`
+    # sums in C.
+    prefix = {
+        letter: list(accumulate(d.translate(table).encode(), initial=0))
+        for letter, table in rules.indicators
+    }
     swaps = [
         (alpha, head, tail, [prefix[letter] for letter in roles], sides)
         for alpha, head, tail, roles, sides in factors
@@ -270,7 +299,7 @@ def naive_rule_failure_examples() -> list:
     return [entry("E1", "acb", "cab", "ab"), entry("E2", "abbac", "baabc", "abc")]
 
 
-@dataclass(frozen=True)
+@_record
 class RewriteEdge:
     source: CircularWord
     target: CircularWord
@@ -320,8 +349,8 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     closure is finite (length and letter counts are preserved); max_steps
     caps the number of nodes as a guard and must be at least 1.
 
-    Each node's sites come from `_sites` at O(1) Python work per site.
-    Each admitted node registers its rotations in one dict, so a valid site
+    Each node's sites come from `_sites` at O(1) Python work per site,
+    read from the rule tables compiled once per alphabet.  Each admitted node registers its rotations in one dict, so a valid site
     finds its target by one lookup of its linear result, and only a result
     of a new class is canonicalized: one `canonicalize` per node, none for
     an invalid site or one over the budget.  A node is expanded once, so a

@@ -11,6 +11,7 @@ when they differ in at least one position.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -18,13 +19,47 @@ import math
 from .matrices import UnitriangularMatrix
 
 
+def _record(cls):
+    """`cls` as a frozen `slots=True` dataclass whose generated `__init__`
+    stores each field through its slot descriptor.
+
+    The records built per site, per edge and per necklace pay for their
+    construction: a frozen dataclass's `__init__` makes one
+    `object.__setattr__` call per field, which looks the slot up again by
+    name.  Here `__init__` is generated once per class, as `dataclasses`
+    generates its own, and calls each slot's bound `__set__`.  Fields take
+    no defaults.  Field order, eq, hash, repr, `dataclasses.replace` and
+    pickling are the dataclass's own; any assignment or deletion raises
+    `FrozenInstanceError`, which on Python 3.11 a frozen slots dataclass
+    raises only for a field name (any other name raises `TypeError`)."""
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    names = [field.name for field in dataclasses.fields(cls)]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols.
 
     Besides each symbol's rank it holds its ladder a_1 ... a_s compiled by
-    `_program`, so the ladder reads compile nothing per call."""
+    `_program`, so the ladder reads compile nothing per call, and the
+    rewriting rule tables of a ternary alphabet once `rewriting` has
+    compiled them."""
 
-    __slots__ = ("symbols", "_rank", "_ladder", "_foreign", "_sorted", "_to_sorted")
+    __slots__ = ("symbols", "_rank", "_ladder", "_foreign", "_sorted", "_to_sorted", "_rules")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -45,6 +80,7 @@ class Alphabet:
         self._foreign = str.maketrans(dict.fromkeys(syms))
         self._sorted = "".join(sorted(syms))
         self._to_sorted = {ord(s): r for s, r in zip(syms, self._sorted) if s != r}
+        self._rules = None
 
     @classmethod
     def parse(cls, spec: str) -> "Alphabet":

@@ -22,11 +22,15 @@ class Mutant(NamedTuple):
 
 
 CIRCULAR = "src/circparikh/circular.py"
+REWRITING = "src/circparikh/rewriting.py"
+WORDS = "src/circparikh/words.py"
+RECORDS = "tests/test_records.py::"
+E1_ORACLE = "tests/test_rewriting.py::TestE1AgainstOracle::"
 
 MUTANTS = [
     Mutant(
         "ladder sums drop the weight",
-        "src/circparikh/words.py",
+        WORDS,
         'src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f} * weight"]',
         'src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f}"]',
         (
@@ -124,12 +128,88 @@ MUTANTS = [
     ),
     Mutant(
         "listings validate every site's result",
-        "src/circparikh/rewriting.py",
+        REWRITING,
         "RuleApplication(rule, *site, _canonical(cw.alphabet, result))",
         "RuleApplication(rule, *site, canonicalize(cw.alphabet, result))",
         (
             "tests/test_rewriting.py::test_listings_validate_per_call_not_per_site[find_ce1]",
             "tests/test_rewriting.py::test_listings_validate_per_call_not_per_site[find_ce2]",
         ),
+    ),
+    Mutant(
+        "a record stores its fields in reverse order",
+        WORDS,
+        """exec(f"def __init__(self, {', '.join(names)}):\\n{body}", namespace)""",
+        """exec(f"def __init__(self, {', '.join(reversed(names))}):\\n{body}", namespace)""",
+        (
+            "tests/test_circular.py::TestCanonicalize::test_examples",
+            "tests/test_rewriting.py::TestFindCE1::test_valid_example",
+        ),
+    ),
+    Mutant(
+        "a record keeps the dataclass __setattr__",
+        WORDS,
+        "    cls.__setattr__ = _frozen_setattr\n",
+        "",
+        (RECORDS + "test_every_assignment_and_deletion_is_frozen[CircularWord]",),
+    ),
+    Mutant(
+        "a record keeps the dataclass __delattr__",
+        WORDS,
+        "    cls.__delattr__ = _frozen_delattr\n",
+        "",
+        (RECORDS + "test_every_assignment_and_deletion_is_frozen[RuleApplication]",),
+    ),
+    Mutant(
+        "E1 swaps ac alone",
+        REWRITING,
+        "((a + c, c + a), (c + a, a + c))",
+        "((a + c, c + a),)",
+        (
+            "tests/test_rewriting.py::TestLinearRules::test_e1_examples",
+            E1_ORACLE + "test_every_word_up_to_9[bca]",
+        ),
+    ),
+    Mutant(
+        "E1 finds past the next hit",
+        REWRITING,
+        "i = word.find(factor, i + 1)",
+        "i = word.find(factor, i + 3)",
+        (E1_ORACLE + "test_overlapping_factors[acac]", E1_ORACLE + "test_random_words"),
+    ),
+    Mutant(
+        "E1 finds from two past a hit",
+        REWRITING,
+        "i = word.find(factor, i + 1)",
+        "i = word.find(factor, i + 2)",
+        (),
+        "ac and ca have distinct letters, so no hit overlaps the last one of its factor",
+    ),
+    Mutant(
+        "E2 swaps αb...bα one way only",
+        REWRITING,
+        "        e2[tail] = head, (alpha, b)\n",
+        "",
+        (
+            "tests/test_rewriting.py::TestLinearRules::test_e2_reverse_direction",
+            "tests/test_rewriting.py::TestE2AgainstOracle::test_every_word_up_to_7",
+        ),
+    ),
+    Mutant(
+        "the scan's indicator of the last letter is left untranslated",
+        REWRITING,
+        "{ord(x): int(x == letter) for x in symbols}",
+        "{ord(x): int(x == letter) for x in symbols[:2]}",
+        (
+            "tests/test_rewriting.py::TestClosureAgainstOracle::test_listings_match_oracle",
+            "tests/test_rewriting.py::TestFindCE2::test_valid_example",
+        ),
+    ),
+    Mutant(
+        "rule tables compiled on every call",
+        REWRITING,
+        "    rules = alphabet._rules\n",
+        "    rules = None\n",
+        ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
     ),
 ]

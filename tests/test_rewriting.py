@@ -22,7 +22,7 @@ from circparikh import (
     parikh_vector_sufficiency,
     rewrite_closure,
 )
-from circparikh import rewriting
+from circparikh import enumeration, rewriting
 from circparikh.rewriting import (
     RewriteEdge,
     RewriteGraph,
@@ -127,6 +127,89 @@ class TestE2AgainstOracle:
             assert apply_e2(alphabet, word) == apply_e2_oracle(alphabet, word)
 
         check()
+
+
+def apply_e1_oracle(alphabet, word):
+    """apply_e1 by slicing every pair of adjacent letters: the loop the rule
+    used to run before it found its factors with `str.find`."""
+    a, _, c = alphabet.symbols
+    ac, ca = a + c, c + a
+    out = set()
+    for i in range(len(word) - 1):
+        pair = word[i : i + 2]
+        if pair == ac:
+            out.add(word[:i] + ca + word[i + 2 :])
+        elif pair == ca:
+            out.add(word[:i] + ac + word[i + 2 :])
+    return out
+
+
+class TestE1AgainstOracle:
+    # "cab" and "bca" put the swapped letters a and c elsewhere in the order.
+    @pytest.mark.parametrize("symbols", ["abc", "cab", "bca"])
+    def test_every_word_up_to_9(self, symbols):
+        alphabet = Alphabet(symbols)
+        results = 0
+        for w in words_up_to(symbols, 9):
+            expected = apply_e1_oracle(alphabet, w)
+            assert apply_e1(alphabet, w) == expected, w
+            results += len(expected)
+        assert results > 0
+
+    @pytest.mark.parametrize(
+        "word, expected",
+        [
+            ("aca", {"caa", "aac"}),
+            ("acac", {"caac", "aacc", "acca"}),
+            ("caca", {"acca", "ccaa", "caac"}),
+            ("acacac", {"caacac", "aaccac", "accaac", "acaacc", "acacca"}),
+        ],
+        ids=["aca", "acac", "caca", "acacac"],
+    )
+    def test_overlapping_factors(self, word, expected):
+        assert apply_e1(ABC, word) == apply_e1_oracle(ABC, word) == expected
+
+    def test_random_words(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.given(
+            st.sampled_from(["abc", "cab", "bca"]).flatmap(
+                lambda s: st.tuples(st.just(s), st.text(s, max_size=60))
+            )
+        )
+        def check(case):
+            symbols, word = case
+            alphabet = Alphabet(symbols)
+            assert apply_e1(alphabet, word) == apply_e1_oracle(alphabet, word)
+
+        check()
+
+
+def test_rule_tables_compile_once_per_alphabet(monkeypatch):
+    # Neither a word of the suite nor a node of the closure nor a site of a
+    # listing compiles the rule tables: each alphabet compiles them once.
+    compiled = []
+    compile_rules = rewriting._compile_rules
+    monkeypatch.setattr(rewriting, "_compile_rules", lambda s: compiled.append(s) or compile_rules(s))
+    abc, cab = tuple("abc"), tuple("cab")
+
+    monkeypatch.setattr(enumeration._ABC, "_rules", None)
+    assert enumeration.run_suite("linear-rules").checked > 1000
+    assert compiled == [abc]
+
+    compiled.clear()
+    graph = rewrite_closure(canonicalize(Alphabet(abc), "a" * 7 + "b" * 8))
+    assert graph.complete and len(graph.nodes) > 100
+    assert compiled == [abc]
+
+    compiled.clear()
+    sites = 0
+    for alphabet in (Alphabet(abc), Alphabet(cab)):
+        for word in ("acbca" * 20, "cbabbcba", "abacca"):
+            cw = canonicalize(alphabet, word)
+            sites += len(find_ce1(cw)) + len(find_ce2(cw))
+    assert sites > 1000 and compiled == [abc, cab]
 
 
 class TestFindCE1:
