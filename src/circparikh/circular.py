@@ -26,7 +26,8 @@ import math
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _identity, _ladder_kernel, _program, _read, _record, _rows, mirror
+from .words import Alphabet, _count, _identity, _ladder_kernel, _program, _read, _record, mirror
+from .words import permutation_identity_check
 
 
 def cyclic_shift(word: str, i: int) -> str:
@@ -172,24 +173,21 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
 def _rotation_sums(word: str, alphabet: Alphabet, shifts: int | None = None) -> list:
     """Integer rows whose (i, j) entry sums the count of the ladder factor
     a_{i+1} ... a_j of `alphabet` over the first `shifts` <= |word| cyclic
-    shifts of `word` (all of them by default; the identity for λ; a
-    ValueError for a count outside 0..|word|), conjugated around the word
-    as in `_rotation_total`.
+    shifts of `word` (all of them by default, and for λ its one rotation,
+    λ, whose matrix is the identity; a ValueError for a count outside
+    0..|word|), conjugated around the word as in `_rotation_total`.
 
     Every entry is summed, as it changes: the sums start at shifts times
     M(word), and a change c at step s stays in the last shifts - s of the
     summed matrices, so it adds (shifts - s) c.  `_ladder_kernel(s)` runs
     this as straight-line code generated once per alphabet size, with each
-    entry a local variable.
+    entry a local variable; over one shift it is `_parikh_rows`.
     """
     n = len(word)
     shifts = n if shifts is None else shifts
     if not 0 <= shifts <= n:
         raise ValueError(f"shifts must be in 0..{n}, got {shifts}")
-    if not word:
-        d = alphabet.size + 1
-        return _rows(_identity(d), d)
-    return _ladder_kernel(alphabet.size)(word, shifts, *alphabet.symbols)
+    return _ladder_kernel(alphabet.size)(word, shifts if word else 1, *alphabet.symbols)
 
 
 def _rotation_total(word: str, program: tuple, entries) -> int:
@@ -370,8 +368,6 @@ def slender_partition_check(cw: CircularWord) -> bool:
     of the length-s slender words sums to the product of letter counts.
     A slender word has exactly one rotation that starts with the least
     symbol, so the permutations that do are the representatives; their
-    rotations, the s! permutations, are counted in one read of w."""
-    least, *rest = syms = cw.alphabet.symbols
-    reps = (least + "".join(p) for p in itertools.permutations(rest))
-    total = sum(_count(cw.canonical, *(u for v in reps for u in conjugacy_class(v))))
-    return total == math.prod(cw.canonical.count(s) for s in syms)
+    rotations are the s! permutations, each once, so this is the
+    permutation identity of w, checked in one read of w."""
+    return permutation_identity_check(cw.alphabet, cw.canonical)

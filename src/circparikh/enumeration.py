@@ -31,7 +31,7 @@ from .circular import (
 )
 from .matrices import _tri_mul
 from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
-from .words import Alphabet, _count_updates, _identity, _read, mirror, parikh_vector
+from .words import Alphabet, _count_updates, _identity, _program, _read, mirror, parikh_vector
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -323,7 +323,7 @@ def _linear_rules(alphabet, max_length):
     rank(u) |Σ|^|v| + rank(v); any other w2 fails.  Equal rows are one
     shared tuple."""
     symbols = alphabet.symbols
-    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), alphabet._ladder[1])
+    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), _program("".join(symbols))[1])
     for n, level in itertools.groupby(walk, lambda item: len(item[0])):
         distinct = {}
         rows = [distinct.setdefault(r, r) for r in (tuple(flat) for _, flat in level)]

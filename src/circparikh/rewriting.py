@@ -350,10 +350,11 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     caps the number of nodes as a guard and must be at least 1.
 
     Each node's sites come from `_sites` at O(1) Python work per site,
-    read from the rule tables compiled once per alphabet.  Each admitted node registers its rotations in one dict, so a valid site
-    finds its target by one lookup of its linear result, and only a result
-    of a new class is canonicalized: one `canonicalize` per node, none for
-    an invalid site or one over the budget.  A node is expanded once, so a
+    read from the rule tables compiled once per alphabet.  Each admitted
+    node registers its rotations in one dict, so a valid site finds its
+    target by one lookup of its linear result, and only a result of a new
+    class is canonicalized: one `canonicalize` per node, none for an
+    invalid site or one over the budget.  A node is expanded once, so a
     set of its targets per rule keeps one edge per (source, target, rule).
     (Listings by `find_ce1` and `find_ce2` canonicalize every site, since
     they print each result; each call costs a few `str` operations plus

@@ -54,12 +54,11 @@ def _frozen_delattr(self, name):
 class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols.
 
-    Besides each symbol's rank it holds its ladder a_1 ... a_s compiled by
-    `_program`, so the ladder reads compile nothing per call, and the
-    rewriting rule tables of a ternary alphabet once `rewriting` has
-    compiled them."""
+    Besides each symbol's rank it holds the translation tables below and
+    the rewriting rule tables of a ternary alphabet once `rewriting` has
+    compiled them; building one compiles nothing."""
 
-    __slots__ = ("symbols", "_rank", "_ladder", "_foreign", "_sorted", "_to_sorted", "_rules")
+    __slots__ = ("symbols", "_rank", "_foreign", "_sorted", "_to_sorted", "_rules")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -72,7 +71,6 @@ class Alphabet:
             raise ValueError(f"alphabet symbols must be distinct: {','.join(syms)}")
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
-        self._ladder = _program("".join(syms))
         # Translation tables: deleting the symbols leaves the foreign ones,
         # and mapping the i-th symbol to the i-th smallest in code-point order
         # makes string comparison follow the alphabet's order (empty when the
@@ -210,10 +208,12 @@ def _program(pattern: str) -> tuple:
 @functools.cache
 def _ladder_kernel(s: int):
     """The rotation kernel of the s-letter ladder as one straight-line
-    function (word, shifts, *letters) -> rows, which returns what
-    `circular._rotation_sums` returns for that ladder and a word that is
-    not λ.  Built from `_ladder_source(s)` on first use and kept for the
-    size, so a run pays once per alphabet size, not per call."""
+    function (word, shifts, *letters) -> rows: the sum of the ladder's
+    Parikh matrices of the first `shifts` cyclic shifts of the word, what
+    `circular._rotation_sums` returns.  One shift gives M(word) itself,
+    which `_parikh_rows` reads.  Built from `_ladder_source(s)` on first
+    use and kept for the size, so a run pays once per alphabet size, not
+    per call."""
     namespace = {}
     exec(_ladder_source(s), namespace)
     return namespace["kernel"]
@@ -272,18 +272,14 @@ def _identity(d: int) -> list:
     return flat
 
 
-def _rows(flat: list, d: int) -> list:
-    """The d rows of a flat row-major d x d matrix."""
-    return [flat[i : i + d] for i in range(0, d * d, d)]
-
-
 def _parikh_rows(alphabet: Alphabet, word: str):
-    """The integer rows of M_v(word) for the ladder v = a_1 ... a_s."""
+    """The integer rows of M_v(word) for the ladder v = a_1 ... a_s: the
+    rotation sums of `_ladder_kernel` over one shift, the word itself (the
+    identity for λ).  The first call for an alphabet size generates that
+    size's kernel, as the circular matrix does; `BENCH_one-ladder.json`
+    times the generation at s = 4, 26 and 100."""
     alphabet.validate(word)
-    d = alphabet.size + 1
-    flat = _identity(d)
-    _read(flat, alphabet._ladder[1], word)
-    return _rows(flat, d)
+    return _ladder_kernel(alphabet.size)(word, 1, *alphabet.symbols)
 
 
 def parikh_matrix(alphabet: Alphabet, word: str) -> UnitriangularMatrix:

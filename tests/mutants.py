@@ -6,9 +6,23 @@ original, is kept with the reason and no killers; it is never dropped.
 `test_mutants.py` checks, cheaply, that each old text occurs exactly once
 in its file and that each killer names a test that exists, so a refactor
 that moves the code must update this table.  Applying a mutant and running
-its killers is done on a copy of the tree, never in place.
+its killers is done on a copy of the tree, never in place:
+
+    python tests/mutants.py
+
+copies `src/`, `tests/` and `pyproject.toml` to a temporary directory,
+runs every killer there on the unmutated copy (they must pass), then
+applies one mutant at a time and runs only its killers, one pytest
+process at a time.  It prints each mutant as killed, survived or
+equivalent and exits 1 if any survived.  It is not part of tier-1.
 """
 
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 
@@ -25,6 +39,8 @@ CIRCULAR = "src/circparikh/circular.py"
 REWRITING = "src/circparikh/rewriting.py"
 WORDS = "src/circparikh/words.py"
 RECORDS = "tests/test_records.py::"
+LADDER_KERNEL = "tests/test_ladder_kernel.py::"
+SHARING = "tests/test_suite_sharing.py::"
 E1_ORACLE = "tests/test_rewriting.py::TestE1AgainstOracle::"
 
 MUTANTS = [
@@ -119,12 +135,46 @@ MUTANTS = [
     Mutant(
         "the ladder sums of λ come from the generated code",
         CIRCULAR,
-        "    if not word:\n        d = alphabet.size + 1\n        return _rows(_identity(d), d)\n",
-        "",
+        "shifts if word else 1",
+        "shifts",
         (
             "tests/test_ladder_kernel.py::test_generated_kernel_follows_the_alphabet_not_its_text[c,a,b]",
             "tests/test_circular.py::TestCircularParikhMatrix::test_empty_is_identity",
         ),
+    ),
+    Mutant(
+        "no shift of a word is λ's one shift",
+        CIRCULAR,
+        "shifts if word else 1",
+        "shifts or 1",
+        (LADDER_KERNEL + "test_generated_kernel_matches_oracle_exhaustively[ab]",),
+    ),
+    Mutant(
+        "the linear matrix sums zero shifts",
+        WORDS,
+        "_ladder_kernel(alphabet.size)(word, 1, *alphabet.symbols)",
+        "_ladder_kernel(alphabet.size)(word, 0, *alphabet.symbols)",
+        (
+            SHARING + "test_parikh_matrix_counts_factors_on_long_words",
+            "tests/test_words.py::TestParikhMatrix::test_paper_example",
+        ),
+    ),
+    Mutant(
+        "the linear matrix sums two shifts",
+        WORDS,
+        "_ladder_kernel(alphabet.size)(word, 1, *alphabet.symbols)",
+        "_ladder_kernel(alphabet.size)(word, 2, *alphabet.symbols)",
+        (
+            SHARING + "test_read_ladder_rows_count_factors[a,b,c-7]",
+            "tests/test_words.py::TestParikhMatrix::test_empty_word_is_identity",
+        ),
+    ),
+    Mutant(
+        "linear-rules walks the mirrored ladder",
+        "src/circparikh/enumeration.py",
+        '_program("".join(symbols))[1]',
+        '_program("".join(symbols)[::-1])[1]',
+        (SHARING + "test_linear_rules_walk_holds_each_words_parikh_rows[c,a,b]",),
     ),
     Mutant(
         "listings validate every site's result",
@@ -213,3 +263,49 @@ MUTANTS = [
         ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
     ),
 ]
+
+
+def pytest_passes(root, tests):
+    """Whether the tests pass in the tree at `root`.  Any exit but 0 or 1,
+    such as an unknown test id, is an error, never a kill."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    # No bytecode cache: a mutant and its restore may share a size and an mtime.
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=1800)
+    if proc.returncode not in (0, 1):
+        sys.exit(f"pytest exited {proc.returncode} on {tests}:\n{proc.stdout}{proc.stderr}")
+    return proc.returncode == 0
+
+
+def main():
+    source = Path(__file__).resolve().parents[1]
+    counts = {"killed": 0, "survived": 0, "equivalent": 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(source / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(source / "pyproject.toml", root)
+        killers = sorted({test for mutant in MUTANTS for test in mutant.killed_by})
+        if not pytest_passes(root, killers):
+            sys.exit("the killers fail on the unmutated tree")
+        for mutant in MUTANTS:
+            if mutant.equivalent:
+                verdict = "equivalent"
+            else:
+                path = root / mutant.file
+                text = path.read_text(encoding="utf-8")
+                if text.count(mutant.old) != 1:
+                    sys.exit(f"{mutant.name}: the old text does not occur once in {mutant.file}")
+                path.write_text(text.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+                try:
+                    verdict = "survived" if pytest_passes(root, mutant.killed_by) else "killed"
+                finally:
+                    path.write_text(text, encoding="utf-8")
+            counts[verdict] += 1
+            print(f"{verdict:<10} {mutant.name}", flush=True)
+    print(", ".join(f"{n} {verdict}" for verdict, n in counts.items()))
+    return 1 if counts["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

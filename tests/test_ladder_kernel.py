@@ -1,9 +1,10 @@
 """The generated ladder kernel against an oracle.
 
 `_rotation_sums` runs an alphabet's ladder through `words._ladder_kernel`,
-straight-line code generated once per alphabet size; every other program
-runs through `_rotation_total`, which generates nothing.  The oracle is
-this file's own: it counts the Parikh matrix of every cyclic shift afresh,
+straight-line code generated once per alphabet size, and the linear
+Parikh matrix is the same kernel over one shift; every other program runs
+through `_rotation_total`, which generates nothing.  The oracle is this
+file's own: it counts the Parikh matrix of every cyclic shift afresh,
 letter by letter, and adds them up in order.
 """
 
@@ -24,6 +25,7 @@ from circparikh import (
     circular_power_check,
     enumerate_necklaces,
     m_equivalent,
+    parikh_matrix,
     product_identity_check,
 )
 from circparikh import words
@@ -86,7 +88,7 @@ def check_every_shift_count(alphabet, max_len):
 
 
 @pytest.mark.parametrize("spec", ALPHABETS)
-def test_generated_kernel_matches_table_and_oracle_exhaustively(spec):
+def test_generated_kernel_matches_oracle_exhaustively(spec):
     # Every word up to length 7, every shift count 0..n; λ gives the identity.
     check_every_shift_count(Alphabet.parse(spec), 7)
 
@@ -105,7 +107,7 @@ def long_case(draw):
 
 
 @hypothesis.given(long_case())
-def test_generated_kernel_matches_table_and_oracle_on_long_words(case):
+def test_generated_kernel_matches_oracle_on_long_words(case):
     alphabet, word, shifts = case
     got = _rotation_sums(word, alphabet, shifts)
     assert got == shift_sums(alphabet.symbols, word, shifts)[shifts]
@@ -145,6 +147,7 @@ def test_one_generation_per_alphabet_size(generated):
         for n in range(5):
             necklaces = list(enumerate_necklaces(alphabet, n))
             for cw in necklaces:
+                parikh_matrix(alphabet, cw.canonical)
                 circular_parikh_matrix(cw)
                 m_equivalent(cw, necklaces[0])
                 if alphabet.size <= 3:

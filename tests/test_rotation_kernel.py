@@ -7,8 +7,7 @@ alphabet's ladder and sums every entry over the first shifts.  The oracles
 below recount every entry of every cyclic shift from scratch with
 `subword_count`, an all-positions subword DP of this file's own.  Neither
 `_count` nor `_parikh_rows` can serve there: `_count` is the package's
-other subword DP, and `_parikh_rows` reads the alphabet's compiled ladder,
-which the kernel runs too.
+other subword DP, and `_parikh_rows` is the ladder kernel over one shift.
 """
 
 import itertools

@@ -11,17 +11,18 @@ recompute everything for each word from scratch, as the suites used to:
 `words_up_to` below, `permutation_identity_check`, `_parikh_rows`,
 `reference_count` below, `m_equivalent`, `circular_inverse_alternate_check`
 and `circular_power_check`.  The call counts pin the sharing itself.
-The reader `words._read` behind `_count`, `_parikh_rows` and the walk's
-step is checked entry by entry against `reference_count`, a textbook DP
-that shares no code with it, and for composition: reading w, then u, is
-reading w·u.  `_count` reads many patterns in one pass: its counts are
-checked pattern by pattern against `reference_count`, each public count
-and identity check reads the word once, and under a wrong count table
-each identity check reports the identity of the counts it read, false on
-some words.  No call of `power`, `partition_by_matrix` or `_parikh_rows`
-compiles a program: the alphabet holds its ladder's; `product-identity`
-compiles each covering π·π[:-1] once per run, and its walk's table once
-per alphabet.
+The reader `words._read` behind `_count` and the walk's step is checked
+entry by entry against `reference_count`, a textbook DP that shares no
+code with it, and for composition: reading w, then u, is reading w·u.
+`parikh_matrix`, the ladder kernel over one shift, is checked entry by
+entry against it too.  `_count` reads many patterns in one pass: its
+counts are checked pattern by pattern against `reference_count`, each
+public count and identity check reads the word once, and under a wrong
+count table each identity check reports the identity of the counts it
+read, false on some words.  Neither building an alphabet nor any call
+of `power`, `partition_by_matrix` or `_parikh_rows` compiles a program:
+the ladder runs through generated code; `product-identity` compiles each
+covering π·π[:-1] once per run, and its walk's table once per alphabet.
 """
 
 import itertools
@@ -42,6 +43,7 @@ from circparikh import (
     enumeration,
     inverse_identity_check,
     m_equivalent,
+    parikh_matrix,
     product_identity_check,
     slender_partition_check,
     words,
@@ -55,7 +57,6 @@ from circparikh.words import (
     _parikh_rows,
     _program,
     _read,
-    _rows,
     permutation_identity_check,
 )
 
@@ -131,14 +132,24 @@ def factor_counts(word, pattern):
     ]
 
 
+def rows_of(flat, d):
+    return [flat[i : i + d] for i in range(0, d * d, d)]
+
+
 def read(pattern, word):
     d = len(pattern) + 1
     flat = _identity(d)
     _read(flat, _program(pattern)[1], word)
-    return _rows(flat, d)
+    return rows_of(flat, d)
 
 
-@pytest.mark.parametrize("spec, max_n", [("a,b,c", 7), ("c,a,b", 6), ("a,b,c,d", 5)])
+# A one-letter ladder, and symbols that would need escaping in source.
+LADDERS = ["a", "a,b", "a,b,c", "c,a,b", "a,b,c,d", "',\",\\"]
+
+
+@pytest.mark.parametrize(
+    "spec, max_n", [("a", 8), ("a,b", 8), ("a,b,c", 7), ("c,a,b", 6), ("a,b,c,d", 5), (LADDERS[-1], 5)]
+)
 def test_read_ladder_rows_count_factors(spec, max_n):
     # Each word is also read as its prefix and then its last letter: the
     # `linear-rules` walk step.
@@ -148,8 +159,21 @@ def test_read_ladder_rows_count_factors(spec, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
         walked = [e for row in _parikh_rows(alphabet, w[:-1]) for e in row]
-        _read(walked, alphabet._ladder[1], w[-1:])
-        assert _rows(walked, alphabet.size + 1) == rows, w
+        _read(walked, _program(ladder)[1], w[-1:])
+        assert rows_of(walked, alphabet.size + 1) == rows, w
+
+
+@st.composite
+def ladder_words(draw):
+    alphabet = Alphabet.parse(draw(st.sampled_from(LADDERS)))
+    return alphabet, draw(st.text(alphabet=alphabet.symbols, max_size=512))
+
+
+@hypothesis.given(ladder_words())
+def test_parikh_matrix_counts_factors_on_long_words(case):
+    alphabet, word = case
+    rows = parikh_matrix(alphabet, word).rows
+    assert list(map(list, rows)) == factor_counts(word, "".join(alphabet.symbols))
 
 
 patterns = st.text(alphabet="abc", min_size=1, max_size=6)
@@ -165,7 +189,7 @@ def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
 def test_reading_w_then_u_is_reading_wu(pattern, w, u):
     flat = [e for row in read(pattern, w) for e in row]
     _read(flat, _program(pattern)[1], u)
-    assert _rows(flat, len(pattern) + 1) == read(pattern, w + u)
+    assert rows_of(flat, len(pattern) + 1) == read(pattern, w + u)
 
 
 def always_holds(factors):
@@ -391,6 +415,25 @@ def test_linear_rules_reads_only_the_root_from_scratch(monkeypatch):
     assert len(read_calls) == sum((3 ** (n + 1) - 3) // 2 for n in range(9))
 
 
+@pytest.mark.parametrize("spec", ["a,b,c", "c,a,b"])
+def test_linear_rules_walk_holds_each_words_parikh_rows(monkeypatch, spec):
+    # The suite passes on any rows the rules preserve, the mirrored
+    # ladder's included: the walk's state of each word is its own rows.
+    walked = []
+
+    def recording(*args):
+        for item in _walk(*args):
+            walked.append(item)
+            yield item
+
+    monkeypatch.setattr(enumeration, "_walk", recording)
+    alphabet = Alphabet.parse(spec)
+    assert all(case is None for case in enumeration._suite("linear-rules").cases(alphabet, max_length=5))
+    assert [w for w, _ in walked] == list(words_up_to(alphabet.symbols, 5))
+    for w, flat in walked:
+        assert rows_of(flat, 4) == factor_counts(w, "".join(alphabet.symbols)), w
+
+
 def test_ladder_calls_compile_nothing(monkeypatch):
     compiled = []
     stand_in = counting(compiled, words._program)
@@ -399,10 +442,11 @@ def test_ladder_calls_compile_nothing(monkeypatch):
     assert enumeration.run_suite("power").passed
     enumeration.partition_by_matrix(ABC, 7)
     _parikh_rows(ABC, "abcabca")
+    binary = Alphabet("ba")
     assert compiled == []
-    # The count sees a compile: an alphabet's ladder, a pattern of `avg_count`.
-    avg_count(canonicalize(Alphabet("ba"), "aab"), "ab")
-    assert compiled == [("ba",), ("ab",)]
+    # The count sees a compile: a pattern of `avg_count`.
+    avg_count(canonicalize(binary, "aab"), "ab")
+    assert compiled == [("ab",)]
 
 
 @pytest.mark.parametrize(
