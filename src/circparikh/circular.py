@@ -14,9 +14,12 @@ Two counting modes exist for a pattern v in a circular word [w]:
   of [w]; an exact rational.
 
 The circular Parikh matrix is the class average of the linear Parikh
-matrices.  Both averages conjugate one integer matrix around the word:
+matrices.  Both averages conjugate one integer matrix around the word, in
+one generated kernel, `words._rotation_kernel`, keyed by pattern length:
 `_rotation_total` sums the entries a pattern's callers read, and
-`_rotation_sums` every entry of an alphabet's ladder.
+`_rotation_sums` every entry of an alphabet's ladder.  A kernel has O(m^2)
+generated lines and is compiled once per pattern length (alphabet size
+for the ladder) and entries.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
-from .words import Alphabet, _count, _identity, _ladder_kernel, _program, _read, _record, mirror
+from .words import Alphabet, _count, _record, _rotation_kernel, mirror
 from .words import permutation_identity_check
 
 
@@ -175,50 +178,27 @@ def _rotation_sums(word: str, alphabet: Alphabet, shifts: int | None = None) -> 
     a_{i+1} ... a_j of `alphabet` over the first `shifts` <= |word| cyclic
     shifts of `word` (all of them by default, and for λ its one rotation,
     λ, whose matrix is the identity; a ValueError for a count outside
-    0..|word|), conjugated around the word as in `_rotation_total`.
-
-    Every entry is summed, as it changes: the sums start at shifts times
-    M(word), and a change c at step s stays in the last shifts - s of the
-    summed matrices, so it adds (shifts - s) c.  `_ladder_kernel(s)` runs
-    this as straight-line code generated once per alphabet size, with each
-    entry a local variable; over one shift it is `_parikh_rows`.
+    0..|word|), conjugated around the word by the ladder's
+    `_rotation_kernel`, generated once per alphabet size; over one shift
+    it is `_parikh_rows`.
     """
     n = len(word)
     shifts = n if shifts is None else shifts
     if not 0 <= shifts <= n:
         raise ValueError(f"shifts must be in 0..{n}, got {shifts}")
-    return _ladder_kernel(alphabet.size)(word, shifts if word else 1, *alphabet.symbols)
+    return _rotation_kernel(alphabet.size)(word, shifts if word else 1, *alphabet.symbols)
 
 
-def _rotation_total(word: str, program: tuple, entries) -> int:
-    """The flat `entries` of M_v summed over all |word| cyclic shifts of
-    `word` (over λ alone, the identity, for λ), for the pattern v compiled
-    by `_program`: M_v is a morphism, so rotating the front letter x to the
-    back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
-
-    The build (`_read`) and each rotation run the program's updates of the
-    letter on one flat list, O(m) per position of v that holds it, and a
-    letter absent from v costs O(1).  Only the listed entries are summed,
-    into one integer, as each shift is reached: O(|entries|) per shift,
-    with no sums list.
-    """
-    d, read, rotate = program
-    flat = _identity(d)
-    if not word:
-        return sum(flat[e] for e in entries)
-    _read(flat, read, word)
-    total = 0
-    # Add the entries of the shift starting at x, then rotate x to the back.
-    for x in word:
-        for e in entries:
-            total += flat[e]
-        if x in rotate:
-            add, subtract = rotate[x]
-            for t, s in add:
-                flat[t] += flat[s]
-            for t, s in subtract:
-                flat[t] -= flat[s]
-    return total
+def _rotation_total(word: str, pattern: str, entries) -> int:
+    """The flat `entries` of M_v, v = `pattern`, summed over all |word|
+    cyclic shifts of `word` (over λ alone, the identity, for λ), each as
+    often as it is listed: M_v is a morphism, so rotating the front letter
+    x to the back is the conjugation M_v(ux) = M_v(x)^-1 M_v(xu) M_v(x).
+    The pattern's `_rotation_kernel`, generated once per length and
+    entries, runs it with m letter tests per letter of the word and O(m)
+    updates per position of v that holds it."""
+    kernel = _rotation_kernel(len(pattern), tuple(entries))
+    return kernel(word, max(len(word), 1), *pattern)
 
 
 def avg_count(cw: CircularWord, pattern: str) -> Fraction:
@@ -229,7 +209,7 @@ def avg_count(cw: CircularWord, pattern: str) -> Fraction:
     conjugate occurs equally often among the shifts.
     """
     cw.alphabet.validate(pattern)
-    total = _rotation_total(cw.canonical, _program(pattern), [len(pattern)])
+    total = _rotation_total(cw.canonical, pattern, [len(pattern)])
     return Fraction(total, max(cw.length, 1))
 
 
@@ -343,14 +323,14 @@ def product_identity_check(cw: CircularWord) -> bool:
 
 
 def _coverings(alphabet: Alphabet) -> list:
-    """The compiled patterns π·π[:-1], one per permutation π of the alphabet
-    that starts with the least symbol, each with the flat indices of its
+    """The patterns π·π[:-1], one per permutation π of the alphabet that
+    starts with the least symbol, each with the flat indices of its
     entries (i, i+s), i < s.  The s rotations of π are the length-s factors
     of π·π[:-1], so these cover every permutation."""
     least, *rest = alphabet.symbols
     s = alphabet.size
     pis = (least + "".join(p) for p in itertools.permutations(rest))
-    return [(_program(pi + pi[:-1]), [i * (2 * s) + i + s for i in range(s)]) for pi in pis]
+    return [(pi + pi[:-1], [i * (2 * s) + i + s for i in range(s)]) for pi in pis]
 
 
 def _product_identity_holds(cw: CircularWord, coverings: list) -> bool:
@@ -359,7 +339,7 @@ def _product_identity_holds(cw: CircularWord, coverings: list) -> bool:
     sum rotation i of π."""
     w = cw.canonical
     syms = cw.alphabet.symbols
-    total = sum(_rotation_total(w, program, entries) for program, entries in coverings)
+    total = sum(_rotation_total(w, pattern, entries) for pattern, entries in coverings)
     return total == max(cw.length, 1) * math.prod(w.count(x) for x in syms)
 
 

@@ -281,7 +281,7 @@ def _necklace_checks(check, message, alphabet, max_length):
 def _product_identity(alphabet, max_length):
     """The subword counts of the s! permutation words sum to the letter-count
     product: linearly with one flat DP step per word, then per necklace
-    with the alphabet's `_coverings`, compiled once, handed to
+    with the alphabet's `_coverings`, built once, handed to
     `circular._product_identity_holds`, read at call time."""
     symbols = alphabet.symbols
     d = len(symbols) + 1
@@ -323,7 +323,7 @@ def _linear_rules(alphabet, max_length):
     rank(u) |Σ|^|v| + rank(v); any other w2 fails.  Equal rows are one
     shared tuple."""
     symbols = alphabet.symbols
-    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), _program("".join(symbols))[1])
+    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), _program("".join(symbols)))
     for n, level in itertools.groupby(walk, lambda item: len(item[0])):
         distinct = {}
         rows = [distinct.setdefault(r, r) for r in (tuple(flat) for _, flat in level)]

@@ -176,89 +176,113 @@ def parikh_vector(alphabet: Alphabet, word: str) -> tuple:
     return tuple(word.count(s) for s in alphabet.symbols)
 
 
-def _program(pattern: str) -> tuple:
-    """The elementary updates each letter makes to the generalized Parikh
-    matrix M_v of the pattern v, held flat and row-major as (m+1)^2 ints.
-
-    Returns (d, read, rotate) with d = m + 1.  M_v(x) is the identity plus
-    a 1 at (k, k+1) for each position k of v that holds x.  `read` maps x
-    to the (target, source) pairs of rows <- rows M_v(x): column k into
-    column k+1 over rows 0..k, the only non-zero ones in column k of upper
-    triangular rows, for k descending so that column k is read before the
-    same letter has advanced it.  `rotate` maps x to (add, subtract), the
-    pairs of rows <- M_v(x)^-1 rows M_v(x): those column operations, then,
-    as left and right products commute, row k+1 out of row k for k
-    descending.  Both skip entry (k, k+1), the count of x, which the pair
-    leaves unchanged: the terms skipped are those that read the diagonal,
-    so the updates conjugate the strictly upper part alone, and the
-    identity is its own conjugate.
-    """
+def _program(pattern: str) -> dict:
+    """The updates each letter x makes to the generalized Parikh matrix M_v
+    of the pattern v, held flat and row-major as (m+1)^2 ints: M_v(x) is
+    the identity plus a 1 at (k, k+1) for each position k of v that holds
+    x.  x maps to the (target, source) pairs of rows <- rows M_v(x):
+    column k into column k+1 over rows 0..k, the only non-zero ones in
+    column k of upper triangular rows, for k descending so that column k
+    is read before the same letter has advanced it."""
     d = len(pattern) + 1
-    read, rotate = {}, {}
+    read = {}
     for k in range(d - 2, -1, -1):
-        x = pattern[k]
-        column = [(r * d + k + 1, r * d + k) for r in range(k + 1)]
-        add, subtract = rotate.setdefault(x, ([], []))
-        read.setdefault(x, []).extend(column)
-        add.extend(column[:-1])
-        subtract.extend((k * d + j, (k + 1) * d + j) for j in range(k + 2, d))
-    return d, read, rotate
+        read.setdefault(pattern[k], []).extend((r * d + k + 1, r * d + k) for r in range(k + 1))
+    return read
 
 
 @functools.cache
-def _ladder_kernel(s: int):
-    """The rotation kernel of the s-letter ladder as one straight-line
-    function (word, shifts, *letters) -> rows: the sum of the ladder's
-    Parikh matrices of the first `shifts` cyclic shifts of the word, what
-    `circular._rotation_sums` returns.  One shift gives M(word) itself,
-    which `_parikh_rows` reads.  Built from `_ladder_source(s)` on first
-    use and kept for the size, so a run pays once per alphabet size, not
-    per call."""
+def _rotation_kernel(m: int, entries: tuple | None = None):
+    """The rotation kernel of the patterns of length m as one straight-line
+    function (word, shifts, *letters) of the pattern's letters.  For the
+    ladder (entries None, distinct letters) it returns the rows of the sum
+    of M_v over the first `shifts` cyclic shifts of the word, what
+    `circular._rotation_sums` returns; one shift gives M_v(word) itself,
+    which `_parikh_rows` reads.  For a pattern it returns the flat
+    `entries` of that sum added up into one integer, each as often as it
+    is listed.  Built from `_kernel_source(m, entries)` on first use and
+    kept for the pair, so a run pays once per pattern length (alphabet
+    size for the ladder) and entries, not per call or per pattern."""
     namespace = {}
-    exec(_ladder_source(s), namespace)
+    exec(_kernel_source(m, entries), namespace)
     return namespace["kernel"]
 
 
-def _ladder_source(s: int) -> str:
-    """Source of `_ladder_kernel(s)`, a function of s alone: the letters
-    are its arguments x0 .. x(s-1), never text in the source.  Entry i of
-    the flat matrix and of the sums is the local m<i> and s<i>, for the
-    strictly upper entries only, as the diagonal stays 1 (and shifts in
-    the sums) and the rest 0.  One if/elif branch per letter, in the read
-    and again in the rotation, applies the (target, source) pairs of
-    `_program`'s `read` and `rotate` for that letter, in their order; a
-    source on the diagonal is the constant 1."""
-    d, read, rotate = _program("".join(map(chr, range(s))))
-    diagonal = range(0, d * d, d + 1)
+def _kernel_source(m: int, entries: tuple | None) -> str:
+    """Source of `_rotation_kernel(m, entries)`, a function of m and the
+    entries alone: the letters are its arguments p0 .. p(m-1), never text
+    in the source, and O(m^2) lines, built in O(m^2).
+
+    Entry i of the flat M_v is the local m<i>, for the strictly upper
+    entries only, as the diagonal stays 1 and the rest 0.  The read adds
+    column k into column k + 1 over rows 0..k for each position k that
+    holds the letter, k descending, with the diagonal source the constant
+    1: M_v(u x) = M_v(u) M_v(x).  Rotating the front letter x to the back
+    is the conjugation M_v(u x) = M_v(x)^-1 M_v(x u) M_v(x): per position
+    k that holds x, k descending, the same column updates, then row k + 1
+    out of row k.  As left and right products commute, and each side's
+    updates run k descending, that is the whole product.  Both skip entry
+    (k, k+1), the count of x, which the pair leaves unchanged: the terms
+    skipped are those that read the diagonal, so the updates conjugate
+    the strictly upper part alone.
+
+    The summed entries (every strictly upper one, s<i>, for the ladder;
+    the total of the listed ones for a pattern) start at shifts times
+    M_v(word), and a change c at step s stays in the last shifts - s of
+    the summed matrices, so it adds (shifts - s) c.  A diagonal entry
+    sums to shifts and one below it to 0.  The ladder's letters are
+    distinct, so its branches chain with elif; a pattern's may repeat, so
+    each position has its own if."""
+    d = m + 1
+    ladder = entries is None
     upper = [i * d + j for i in range(d) for j in range(i + 1, d)]
-    xs = [f"x{k}" for k in range(s)]
-    src = [
-        f"def kernel(word, shifts, {', '.join(xs)}):",
-        f"    {' = '.join(f'm{i}' for i in upper)} = 0",
-        "    for ch in word:",
-    ]
-    for k, x in enumerate(xs):
-        src.append(f"        {'elif' if k else 'if'} ch == {x}:")
-        src += [f"            m{t} += {1 if f in diagonal else f'm{f}'}" for t, f in read[chr(k)]]
-    src += [f"    s{i} = shifts * m{i}" for i in upper]
-    src.append("    for weight, ch in zip(range(shifts - 1, 0, -1), word):")
-    for k, x in enumerate(xs):
-        src.append(f"        {'elif' if k else 'if'} ch == {x}:")
-        for pairs, op in zip(rotate[chr(k)], "+-"):
-            for t, f in pairs:
-                src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f} * weight"]
-        if not any(rotate[chr(k)]):
-            src.append("            pass")
-    entries = ["shifts" if i in diagonal else f"s{i}" if i in upper else "0" for i in range(d * d)]
-    rows = (f"[{', '.join(entries[i : i + d])}]" for i in range(0, d * d, d))
-    src.append(f"    return [{', '.join(rows)}]")
+    summed = {}  # flat index -> the accumulators its changes go to
+    for e in upper if ladder else entries:
+        if e // d < e % d:
+            summed.setdefault(e, []).append(f"s{e}" if ladder else "total")
+    keywords = ["if"] + ["elif" if ladder else "if"] * (m - 1)
+    branches = [(k, f"        {kw} ch == p{k}:") for kw, k in zip(keywords, reversed(range(m)))]
+    src = [f"def kernel({', '.join(['word', 'shifts', *(f'p{k}' for k in range(m))])}):"]
+    if upper:
+        src.append(f"    {' = '.join(f'm{i}' for i in upper)} = 0")
+        src.append("    for ch in word:")
+    for k, branch in branches:
+        src.append(branch)
+        src += [f"            m{r * d + k + 1} += m{r * d + k}" for r in range(k)]
+        src.append(f"            m{k * d + k + 1} += 1")
+    if ladder:
+        src += [f"    s{i} = shifts * m{i}" for i in upper]
+    else:
+        terms = [f"m{e}" if e // d < e % d else "1" for e in entries if e // d <= e % d]
+        src.append(f"    total = shifts * ({' + '.join(terms) or 0})")
+
+    def update(t, op, f):
+        sums = (f"            {a} {op}= m{f} * weight" for a in summed.get(t, ()))
+        return [f"            m{t} {op}= m{f}", *sums]
+
+    if m > 1:  # a single letter's rotation changes nothing
+        src.append("    for weight, ch in zip(range(shifts - 1, 0, -1), word):")
+        for k, branch in branches:
+            src.append(branch)
+            for r in range(k):
+                src += update(r * d + k + 1, "+", r * d + k)
+            for j in range(k + 2, d):
+                src += update(k * d + j, "-", (k + 1) * d + j)
+    if ladder:
+        rows = (
+            ", ".join("shifts" if j == i else f"s{i * d + j}" if j > i else "0" for j in range(d))
+            for i in range(d)
+        )
+        src.append(f"    return [{', '.join(f'[{row}]' for row in rows)}]")
+    else:
+        src.append("    return total")
     return "\n".join(src) + "\n"
 
 
 def _read(flat: list, updates: dict, word: str) -> None:
     """Read `word` into the flat DP list `flat` in place: each letter adds
     entry s into entry t for each of its (t, s) pairs in `updates`, from
-    `_count_updates` or the `read` of `_program` (then flat <- flat M_v(word)
+    `_count_updates` or `_program` (then flat <- flat M_v(word)
     for flat upper triangular rows, as every M_v(u) is)."""
     for ch in word:
         for t, s in updates.get(ch, ()):
@@ -274,12 +298,13 @@ def _identity(d: int) -> list:
 
 def _parikh_rows(alphabet: Alphabet, word: str):
     """The integer rows of M_v(word) for the ladder v = a_1 ... a_s: the
-    rotation sums of `_ladder_kernel` over one shift, the word itself (the
-    identity for λ).  The first call for an alphabet size generates that
-    size's kernel, as the circular matrix does; `BENCH_one-ladder.json`
-    times the generation at s = 4, 26 and 100."""
+    rotation sums of the ladder's `_rotation_kernel` over one shift, the
+    word itself (the identity for λ).  The first call for an alphabet size
+    generates that size's kernel, as the circular matrix does;
+    `BENCH_pattern-kernel.json` times the generation at s = 4, 26, 100
+    and 150."""
     alphabet.validate(word)
-    return _ladder_kernel(alphabet.size)(word, 1, *alphabet.symbols)
+    return _rotation_kernel(alphabet.size)(word, 1, *alphabet.symbols)
 
 
 def parikh_matrix(alphabet: Alphabet, word: str) -> UnitriangularMatrix:

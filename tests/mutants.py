@@ -42,13 +42,15 @@ RECORDS = "tests/test_records.py::"
 LADDER_KERNEL = "tests/test_ladder_kernel.py::"
 SHARING = "tests/test_suite_sharing.py::"
 E1_ORACLE = "tests/test_rewriting.py::TestE1AgainstOracle::"
+# The line of the kernel generator that adds a summed entry's change.
+SUM_LINE = '''f"            {a} {op}= m{f} * weight"'''
 
 MUTANTS = [
     Mutant(
         "ladder sums drop the weight",
         WORDS,
-        'src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f} * weight"]',
-        'src += [f"            m{t} {op}= m{f}", f"            s{t} {op}= m{f}"]',
+        SUM_LINE,
+        SUM_LINE.replace(' * weight"', '" + " * weight" * (not ladder)'),
         (
             "tests/test_ladder_kernel.py::test_generated_kernel_follows_the_alphabet_not_its_text[c,a,b]",
             "tests/test_rotation_kernel.py::test_ladder_kernel_matches_per_shift_parikh_rows",
@@ -56,10 +58,40 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the pattern total drops the weight",
+        WORDS,
+        SUM_LINE,
+        SUM_LINE.replace(' * weight"', '" + " * weight" * ladder'),
+        (
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
+            "tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts",
+        ),
+    ),
+    Mutant(
+        "a pattern's branches chain with elif",
+        WORDS,
+        '["elif" if ladder else "if"]',
+        '["elif"]',
+        (
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[abc]",
+            "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[abcd]",
+        ),
+    ),
+    Mutant(
+        "the ladder keeps `i in upper` on a list",
+        WORDS,
+        'f"s{i * d + j}" if j > i else "0"',
+        'f"s{i * d + j}" if i * d + j in upper else "0"',
+        (),
+        "j > i is membership in the strictly upper indices: the same source, built in O(s^4);"
+        " no test times a run, and the line count is O(s^2) either way",
+    ),
+    Mutant(
         "avg_count reads (0, m-1) for (0, m)",
         CIRCULAR,
-        "_program(pattern), [len(pattern)])",
-        "_program(pattern), [len(pattern) - 1])",
+        "pattern, [len(pattern)])",
+        "pattern, [len(pattern) - 1])",
         (
             "tests/test_rotation_kernel.py::test_avg_count_of_the_empty_word",
             "tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts",
@@ -68,8 +100,8 @@ MUTANTS = [
     Mutant(
         "the entry total of λ is 0",
         CIRCULAR,
-        "        return sum(flat[e] for e in entries)",
-        "        return 0",
+        "max(len(word), 1)",
+        "len(word)",
         (
             "tests/test_rotation_kernel.py::test_avg_count_of_the_empty_word",
             "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
@@ -88,9 +120,9 @@ MUTANTS = [
     ),
     Mutant(
         "the entry total adds the row updates",
-        CIRCULAR,
-        "            for t, s in subtract:\n                flat[t] -= flat[s]",
-        "            for t, s in subtract:\n                flat[t] += flat[s]",
+        WORDS,
+        'update(k * d + j, "-", (k + 1) * d + j)',
+        'update(k * d + j, "+", (k + 1) * d + j)',
         (
             "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[abc]",
             "tests/test_rotation_kernel.py::test_kernel_exhaustive_small",
@@ -98,9 +130,9 @@ MUTANTS = [
     ),
     Mutant(
         "the entry total reads only the first entry",
-        CIRCULAR,
-        "        for e in entries:\n            total += flat[e]",
-        "        for e in entries[:1]:\n            total += flat[e]",
+        WORDS,
+        "for e in upper if ladder else entries:",
+        "for e in upper if ladder else entries[:1]:",
         (
             "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
             "tests/test_integer_paths.py::test_product_identity_matches_fraction_sum[a,b,c-6]",
@@ -108,29 +140,25 @@ MUTANTS = [
     ),
     Mutant(
         "the entry total skips the first shift",
-        CIRCULAR,
-        "    for x in word:\n        for e in entries:",
-        "    for x in word[1:]:\n        for e in entries:",
+        WORDS,
+        '"    total = shifts * (',
+        '"    total = (shifts - 1) * (',
         (
             "tests/test_rotation_kernel.py::test_entry_totals_exhaustive_small[ab]",
             "tests/test_rotation_kernel.py::test_kernel_matches_per_shift_counts",
         ),
     ),
     Mutant(
+        # Equivalent for a pattern's total over all n shifts, where shift n
+        # is shift 0; the same line runs the ladder over its first shifts.
         "the entry total reads each shift after rotating",
-        CIRCULAR,
-        "        for e in entries:\n            total += flat[e]\n"
-        "        if x in rotate:\n"
-        "            add, subtract = rotate[x]\n"
-        "            for t, s in add:\n                flat[t] += flat[s]\n"
-        "            for t, s in subtract:\n                flat[t] -= flat[s]\n",
-        "        if x in rotate:\n"
-        "            add, subtract = rotate[x]\n"
-        "            for t, s in add:\n                flat[t] += flat[s]\n"
-        "            for t, s in subtract:\n                flat[t] -= flat[s]\n"
-        "        for e in entries:\n            total += flat[e]\n",
-        (),
-        "the shifts read are 1..n instead of 0..n-1, and shift n is shift 0",
+        WORDS,
+        "zip(range(shifts - 1, 0, -1), word)",
+        "zip(range(shifts, 0, -1), word)",
+        (
+            "tests/test_rotation_kernel.py::test_every_shift_count_matches_the_oracle",
+            LADDER_KERNEL + "test_generated_kernel_matches_oracle_exhaustively[ab]",
+        ),
     ),
     Mutant(
         "the ladder sums of λ come from the generated code",
@@ -152,8 +180,8 @@ MUTANTS = [
     Mutant(
         "the linear matrix sums zero shifts",
         WORDS,
-        "_ladder_kernel(alphabet.size)(word, 1, *alphabet.symbols)",
-        "_ladder_kernel(alphabet.size)(word, 0, *alphabet.symbols)",
+        "_rotation_kernel(alphabet.size)(word, 1, *alphabet.symbols)",
+        "_rotation_kernel(alphabet.size)(word, 0, *alphabet.symbols)",
         (
             SHARING + "test_parikh_matrix_counts_factors_on_long_words",
             "tests/test_words.py::TestParikhMatrix::test_paper_example",
@@ -162,8 +190,8 @@ MUTANTS = [
     Mutant(
         "the linear matrix sums two shifts",
         WORDS,
-        "_ladder_kernel(alphabet.size)(word, 1, *alphabet.symbols)",
-        "_ladder_kernel(alphabet.size)(word, 2, *alphabet.symbols)",
+        "_rotation_kernel(alphabet.size)(word, 1, *alphabet.symbols)",
+        "_rotation_kernel(alphabet.size)(word, 2, *alphabet.symbols)",
         (
             SHARING + "test_read_ladder_rows_count_factors[a,b,c-7]",
             "tests/test_words.py::TestParikhMatrix::test_empty_word_is_identity",
@@ -172,8 +200,8 @@ MUTANTS = [
     Mutant(
         "linear-rules walks the mirrored ladder",
         "src/circparikh/enumeration.py",
-        '_program("".join(symbols))[1]',
-        '_program("".join(symbols)[::-1])[1]',
+        '_program("".join(symbols))',
+        '_program("".join(symbols)[::-1])',
         (SHARING + "test_linear_rules_walk_holds_each_words_parikh_rows[c,a,b]",),
     ),
     Mutant(

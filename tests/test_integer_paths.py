@@ -40,7 +40,6 @@ from circparikh.circular import (
 )
 from circparikh.enumeration import MinorWitness, _int_det, _minor_pairs
 from circparikh.matrices import _tri_mul
-from circparikh.words import _program
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -149,13 +148,11 @@ def test_one_covering_call_sums_every_rotation(monkeypatch, spec):
             w = cw.canonical
             calls.clear()
             product_identity_check(cw)
-            assert calls == [(w, _program(pi + pi[:-1]), entries) for pi in coverings], cw
+            assert calls == [(w, pi + pi[:-1], entries) for pi in coverings], cw
             for pi in coverings:
-                program = _program(pi + pi[:-1])
                 for i, entry in enumerate(entries):
-                    rotation = _program(pi[i:] + pi[:i])
-                    got = _rotation_total(w, program, [entry])
-                    assert got == _rotation_total(w, rotation, [s]), (cw, pi, i)
+                    got = _rotation_total(w, pi + pi[:-1], [entry])
+                    assert got == _rotation_total(w, pi[i:] + pi[:i], [s]), (cw, pi, i)
 
 
 def mul_oracle(a, b):

@@ -1,11 +1,12 @@
 """The generated ladder kernel against an oracle.
 
-`_rotation_sums` runs an alphabet's ladder through `words._ladder_kernel`,
-straight-line code generated once per alphabet size, and the linear
-Parikh matrix is the same kernel over one shift; every other program runs
-through `_rotation_total`, which generates nothing.  The oracle is this
-file's own: it counts the Parikh matrix of every cyclic shift afresh,
-letter by letter, and adds them up in order.
+`_rotation_sums` runs an alphabet's ladder through
+`words._rotation_kernel`, straight-line code generated once per alphabet
+size, and the linear Parikh matrix is the same kernel over one shift; a
+pattern's entry total runs through the same generator, once per pattern
+length and entries.  The oracle is this file's own: it counts the Parikh
+matrix of every cyclic shift afresh, letter by letter, and adds them up in
+order.  The generated source is checked for its shape, O(s^2) lines.
 """
 
 import itertools
@@ -20,7 +21,6 @@ import pytest
 from circparikh import (
     Alphabet,
     avg_count,
-    canonicalize,
     circular_parikh_matrix,
     circular_power_check,
     enumerate_necklaces,
@@ -115,19 +115,25 @@ def test_generated_kernel_matches_oracle_on_long_words(case):
 
 @pytest.fixture
 def generated(monkeypatch):
-    """The sizes `_ladder_kernel` generates code for, from an empty cache."""
-    sizes, source = [], words._ladder_source
-    monkeypatch.setattr(words, "_ladder_source", lambda s: sizes.append(s) or source(s))
-    words._ladder_kernel.cache_clear()
-    yield sizes
-    words._ladder_kernel.cache_clear()
+    """The (length, entries) pairs `_rotation_kernel` generates code for,
+    from an empty cache: entries is None for a ladder."""
+    keys, source = [], words._kernel_source
+
+    def recording(m, entries):
+        keys.append((m, entries))
+        return source(m, entries)
+
+    monkeypatch.setattr(words, "_kernel_source", recording)
+    words._rotation_kernel.cache_clear()
+    yield keys
+    words._rotation_kernel.cache_clear()
 
 
 def test_nothing_is_generated_at_import():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import circparikh; from circparikh.words import _ladder_kernel; "
-        "circparikh.Alphabet.parse('c,a,b'); print(_ladder_kernel.cache_info().currsize)"
+        "import circparikh; from circparikh.words import _rotation_kernel; "
+        "circparikh.Alphabet.parse('c,a,b'); print(_rotation_kernel.cache_info().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -152,18 +158,38 @@ def test_one_generation_per_alphabet_size(generated):
                 m_equivalent(cw, necklaces[0])
                 if alphabet.size <= 3:
                     circular_power_check(cw, 2)
-    assert sorted(generated) == [1, 2, 3, 4]
+    assert sorted(generated) == [(s, None) for s in (1, 2, 3, 4)]
 
 
-def test_avg_count_and_coverings_generate_nothing(generated):
-    # A pattern equal to the ladder compiles per call and runs
-    # `_rotation_total`, as the coverings do.
-    for spec in ALPHABETS:
-        alphabet = Alphabet.parse(spec)
-        for cw in enumerate_necklaces(alphabet, 5):
-            avg_count(cw, spec)
-            avg_count(cw, spec[::-1] + spec)
-            product_identity_check(cw)
-    assert generated == []
-    circular_parikh_matrix(canonicalize(Alphabet("abc"), "abcab"))
-    assert generated == [3]
+def test_one_generation_per_pattern_length(generated):
+    # The letters are arguments: avg_count, which reads entry (0, m), runs
+    # one kernel per pattern length whatever the letters, repeated or
+    # distinct, and the coverings π·π[:-1] one per alphabet size.  Each
+    # part starts from an empty cache.
+    abcd = Alphabet.parse("abcd")
+    necklaces = [cw for n in range(6) for cw in enumerate_necklaces(abcd, n)]
+    for pattern in words_up_to("abcd", 5):
+        for cw in necklaces:
+            avg_count(cw, pattern)
+    assert generated == [(m, (m,)) for m in range(6)]
+    coverings = [(2 * s - 1, tuple(i * 2 * s + i + s for i in range(s))) for s in (1, 2, 3, 4)]
+    parts = {
+        "coverings": (product_identity_check, coverings),
+        "ladder": (circular_parikh_matrix, [(s, None) for s in (1, 2, 3, 4)]),
+    }
+    for name, (check, expected) in parts.items():
+        generated.clear()
+        words._rotation_kernel.cache_clear()
+        for spec in ALPHABETS:
+            for n in range(6):
+                for cw in enumerate_necklaces(Alphabet.parse(spec), n):
+                    check(cw)
+        assert generated == expected, name
+
+
+@pytest.mark.parametrize("s", [13, 26, 50])
+def test_source_lines_grow_quadratically(s):
+    # Doubling the alphabet about quadruples the ladder's source: O(s^2)
+    # lines, where O(s^3) would give 8 and O(s^4) 16.
+    lines = [words._kernel_source(k, None).count("\n") for k in (s, 2 * s)]
+    assert 3.6 < lines[1] / lines[0] < 4.4

@@ -1,8 +1,8 @@
 """The rotation kernels against brute-force per-shift sums.
 
-Both kernels conjugate one generalized Parikh matrix around the word.
-`_rotation_total` runs a pattern compiled by `_program` and sums the flat
-entries it is given over every cyclic shift; `_rotation_sums` runs an
+Both run one generated kernel that conjugates a generalized Parikh matrix
+around the word.  `_rotation_total` runs a pattern's kernel and sums the
+flat entries it is given over every cyclic shift; `_rotation_sums` runs an
 alphabet's ladder and sums every entry over the first shifts.  The oracles
 below recount every entry of every cyclic shift from scratch with
 `subword_count`, an all-positions subword DP of this file's own.  Neither
@@ -23,7 +23,6 @@ from circparikh import (
     m_equivalent,
 )
 from circparikh.circular import _rotation_sums, _rotation_total
-from circparikh.words import _program
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -96,7 +95,7 @@ def picked(sums, entries):
 
 
 def total(word, pattern, entries):
-    return _rotation_total(word, _program(pattern), entries)
+    return _rotation_total(word, pattern, entries)
 
 
 def words_up_to(symbols, max_len):
@@ -178,13 +177,13 @@ def test_m_equivalent_is_matrix_equality(case, other):
 def test_kernel_exhaustive_small():
     for symbols, max_len in (("ab", 7), ("abc", 5)):
         alphabet = Alphabet(symbols)
-        programs = {pattern: _program(pattern) for pattern in words_up_to(symbols, 3)}
+        patterns = list(words_up_to(symbols, 3))
         for word in words_up_to(symbols, max_len):
             assert _rotation_sums(word, alphabet) == ladder_oracle(alphabet, word)
-            for pattern, program in programs.items():
+            for pattern in patterns:
                 expected = count_oracle(word, pattern)
                 for entries in entry_sets(pattern):
-                    got = _rotation_total(word, program, entries)
+                    got = _rotation_total(word, pattern, entries)
                     assert got == picked(expected, entries), (word, pattern, entries)
 
 
@@ -212,12 +211,12 @@ def test_every_shift_count_exhaustive_small():
     # letter-count entries (k, k+1) and (k+1, k+2) meet.  Every binary
     # pattern up to length 4 over every word up to length 7, λ included,
     # for the entries its callers read and each entry alone.
-    programs = {pattern: _program(pattern) for pattern in words_up_to("ab", 4)}
+    patterns = list(words_up_to("ab", 4))
     for word in words_up_to("ab", 7):
-        for pattern, program in programs.items():
+        for pattern in patterns:
             expected = count_oracle(word, pattern)
             for entries in entry_sets(pattern):
-                got = _rotation_total(word, program, entries)
+                got = _rotation_total(word, pattern, entries)
                 assert got == picked(expected, entries), (word, pattern, entries)
 
 
@@ -234,8 +233,8 @@ def ordered_case(draw):
 
 @hypothesis.given(ordered_case())
 def test_compiled_programs_match_the_oracle_for_every_shift_count(case):
-    # The alphabet's precompiled ladder over every shift count 1..n and the
-    # default, and a pattern compiled per call over all shifts, for the
+    # The alphabet's ladder kernel over every shift count 1..n and the
+    # default, and a pattern's kernel over all shifts, for the
     # entries its callers read and each entry alone; λ sums to the identity.
     alphabet, word, pattern = case
     v = "".join(alphabet.symbols)
@@ -270,14 +269,14 @@ def test_entry_totals_exhaustive_small(symbols, max_len, patterns):
     # Conjugate words share their sums, recounted once per class.  Each
     # entry alone is checked on the words below the longest length.
     for pattern in patterns:
-        program, sums = _program(pattern), {}
+        sums = {}
         for word in words_up_to(symbols, max_len):
             key = min(shifts(word))
             if key not in sums:
                 sums[key] = count_oracle(word, pattern)
             cases = entry_sets(pattern)[: None if len(word) < max_len else 2]
             for entries in cases:
-                got = _rotation_total(word, program, entries)
+                got = _rotation_total(word, pattern, entries)
                 assert got == picked(sums[key], entries), (word, pattern, entries)
 
 

@@ -19,10 +19,11 @@ entry against it too.  `_count` reads many patterns in one pass: its
 counts are checked pattern by pattern against `reference_count`, each
 public count and identity check reads the word once, and under a wrong
 count table each identity check reports the identity of the counts it
-read, false on some words.  Neither building an alphabet nor any call
-of `power`, `partition_by_matrix` or `_parikh_rows` compiles a program:
-the ladder runs through generated code; `product-identity` compiles each
-covering π·π[:-1] once per run, and its walk's table once per alphabet.
+read, false on some words.  Only the `linear-rules` walk compiles a
+`_program` table: the ladder, `avg_count` and the coverings π·π[:-1] of
+`product-identity` run through generated kernels, one per pattern length
+and entries, and the `product-identity` walk compiles its count table
+once per alphabet.
 """
 
 import itertools
@@ -139,7 +140,7 @@ def rows_of(flat, d):
 def read(pattern, word):
     d = len(pattern) + 1
     flat = _identity(d)
-    _read(flat, _program(pattern)[1], word)
+    _read(flat, _program(pattern), word)
     return rows_of(flat, d)
 
 
@@ -159,7 +160,7 @@ def test_read_ladder_rows_count_factors(spec, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
         walked = [e for row in _parikh_rows(alphabet, w[:-1]) for e in row]
-        _read(walked, _program(ladder)[1], w[-1:])
+        _read(walked, _program(ladder), w[-1:])
         assert rows_of(walked, alphabet.size + 1) == rows, w
 
 
@@ -188,7 +189,7 @@ def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
 @hypothesis.given(patterns, texts, texts)
 def test_reading_w_then_u_is_reading_wu(pattern, w, u):
     flat = [e for row in read(pattern, w) for e in row]
-    _read(flat, _program(pattern)[1], u)
+    _read(flat, _program(pattern), u)
     assert rows_of(flat, len(pattern) + 1) == read(pattern, w + u)
 
 
@@ -437,16 +438,18 @@ def test_linear_rules_walk_holds_each_words_parikh_rows(monkeypatch, spec):
 def test_ladder_calls_compile_nothing(monkeypatch):
     compiled = []
     stand_in = counting(compiled, words._program)
-    for module in (words, circular):
+    for module in (words, enumeration):
         monkeypatch.setattr(module, "_program", stand_in)
     assert enumeration.run_suite("power").passed
     enumeration.partition_by_matrix(ABC, 7)
     _parikh_rows(ABC, "abcabca")
     binary = Alphabet("ba")
-    assert compiled == []
-    # The count sees a compile: a pattern of `avg_count`.
     avg_count(canonicalize(binary, "aab"), "ab")
-    assert compiled == [("ab",)]
+    product_identity_check(canonicalize(binary, "aab"))
+    assert compiled == []
+    # The stand-in sees a compile: the table of the `linear-rules` walk.
+    assert not any(enumeration._suite("linear-rules").cases(Alphabet("bca"), max_length=2))
+    assert compiled == [("bca",)]
 
 
 @pytest.mark.parametrize(
@@ -510,21 +513,27 @@ def test_power_verdicts_match_the_check(monkeypatch, symbols, perturbed):
 
 def test_product_identity_compiles_each_covering_once(monkeypatch):
     # One covering of the binary alphabet and two of the ternary one, each
-    # compiled once per run rather than once per necklace.
-    compiled = []
-    stand_in = counting(compiled, words._program)
-    for module in (words, circular):
-        monkeypatch.setattr(module, "_program", stand_in)
-    assert enumeration.run_suite("product-identity").passed
-    assert compiled == [("aba",), ("abcab",), ("acbac",)]
+    # built once per run rather than once per necklace, and from an empty
+    # cache one kernel per alphabet size: its length and entries (i, i+s).
+    built, generated, source = [], [], words._kernel_source
+    monkeypatch.setattr(enumeration, "_coverings", counting(built, circular._coverings))
+    monkeypatch.setattr(words, "_kernel_source", counting(generated, source))
+    words._rotation_kernel.cache_clear()
+    try:
+        assert enumeration.run_suite("product-identity").passed
+    finally:
+        words._rotation_kernel.cache_clear()
+    coverings = [covering for (alphabet,) in built for covering, _ in circular._coverings(alphabet)]
+    assert coverings == ["aba", "abcab", "acbac"]
+    assert generated == [(3, (2, 7)), (5, (3, 10, 17))]
 
 
 def odd_words_raised(kernel):
     """`_rotation_total` with a covering's total, the sum of its s
     rotations of π, raised by one for the words of odd length."""
 
-    def stand_in(word, program, entries):
-        return kernel(word, program, entries) + len(word) % 2
+    def stand_in(word, pattern, entries):
+        return kernel(word, pattern, entries) + len(word) % 2
 
     return stand_in
 
@@ -534,7 +543,7 @@ def odd_words_raised(kernel):
 def test_product_identity_verdicts_match_the_check(monkeypatch, symbols, perturbed):
     # With a perturbed kernel, read by the suite and the check alike, the
     # identity fails on the necklaces of odd length: both verdicts.  The
-    # check compiles its coverings per call, the suite once per run.
+    # check builds its coverings per call, the suite once per run.
     if perturbed:
         monkeypatch.setattr(circular, "_rotation_total", odd_words_raised(circular._rotation_total))
     alphabet = Alphabet(symbols)
