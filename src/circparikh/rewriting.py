@@ -21,7 +21,9 @@ another, so the sweep already yields a symmetric (involutive) move set.
 The scan reads the doubled word: `str.find` anchors each rotation at its
 tail and finds its heads, prefix letter counts give both sides of the
 side condition, and only the result is built, so a site costs O(1)
-Python work.  Each swap and its side condition are written once, in
+Python work.  A listing reads most results' canonical forms from w's own
+origin, certified by `circular._swap_results`, and searches the rest for
+their least rotation.  Each swap and its side condition are written once, in
 `_compile_rules`; `ce1_condition` and `ce2_condition` apply them to
 strings.  An alphabet's rule tables (the swaps, E2's opposite factors and
 the scan's letter indicators) are compiled on its first use and kept on
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .circular import CircularWord, _canonical, avg_count, canonicalize, conjugacy_class, m_equivalent
+from .circular import CircularWord, _swap_results, avg_count, canonicalize, conjugacy_class, m_equivalent
 from .words import Alphabet, _record, parikh_vector
 
 
@@ -246,10 +248,11 @@ def _find_all(text: str, sub: str, start: int, end: int):
 
 
 def _applications(cw: CircularWord, rule: str) -> list:
-    """Every site of `rule` in [w] with its canonicalized result, which
+    """Every site of `rule` in [w] with its canonical result, which
     rearranges the letters of [w] and so needs no validation."""
+    canonical = _swap_results(cw)
     return [
-        RuleApplication(rule, *site, _canonical(cw.alphabet, result))
+        RuleApplication(rule, *site, canonical(site[0], site[1], result))
         for site, result in _sites(cw, rule)
     ]
 
@@ -356,9 +359,9 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     class is canonicalized: one `canonicalize` per node, none for an
     invalid site or one over the budget.  A node is expanded once, so a
     set of its targets per rule keeps one edge per (source, target, rule).
-    (Listings by `find_ce1` and `find_ce2` canonicalize every site, since
-    they print each result; each call costs a few `str` operations plus
-    Python work per longest run of the least letter.)
+    (Listings by `find_ce1` and `find_ce2` print every site's result:
+    `circular._swap_results` reads it from w's origin in O(1) where its
+    certificate holds, and canonicalizes it otherwise.)
     """
     _require_ternary(cw.alphabet)
     if max_steps < 1:

@@ -42,6 +42,8 @@ RECORDS = "tests/test_records.py::"
 LADDER_KERNEL = "tests/test_ladder_kernel.py::"
 SHARING = "tests/test_suite_sharing.py::"
 E1_ORACLE = "tests/test_rewriting.py::TestE1AgainstOracle::"
+SWAPS = "tests/test_single_pass.py::"
+SWAP_ORACLE = SWAPS + "test_swap_results_match_oracle_exhaustively"
 # The line of the kernel generator that adds a summed entry's change.
 SUM_LINE = '''f"            {a} {op}= m{f} * weight"'''
 
@@ -206,13 +208,78 @@ MUTANTS = [
     ),
     Mutant(
         "listings validate every site's result",
-        REWRITING,
-        "RuleApplication(rule, *site, _canonical(cw.alphabet, result))",
-        "RuleApplication(rule, *site, canonicalize(cw.alphabet, result))",
+        CIRCULAR,
+        "        return _canonical(alphabet, result)\n",
+        "        return canonicalize(alphabet, result)\n",
         (
             "tests/test_rewriting.py::test_listings_validate_per_call_not_per_site[find_ce1]",
             "tests/test_rewriting.py::test_listings_validate_per_call_not_per_site[find_ce2]",
         ),
+    ),
+    Mutant(
+        "the certificate's Z leaves the last letter of w's leading run out",
+        CIRCULAR,
+        'marks[:L] = b"\\1" * L',
+        'marks[: L - 1] = b"\\1" * (L - 1)',
+        (SWAPS + "test_swap_results_take_both_paths_on_long_words[abc]", SWAP_ORACLE + "[cab]"),
+    ),
+    Mutant(
+        "the certificate's Z marks [0, c_s - 1], not [0, c_s]",
+        CIRCULAR,
+        'marks[: c + 1] = b"\\1" * (c + 1)',
+        'marks[:c] = b"\\1" * c',
+        (SWAP_ORACLE + "[abc]", SWAP_ORACLE + "[cab]"),
+    ),
+    Mutant(
+        "the certificate's Z marks [s, s + c_s - 1], not [s, s + c_s]",
+        CIRCULAR,
+        'marks[s : s + c + 1] = b"\\1" * (c + 1)',
+        'marks[s : s + c] = b"\\1" * c',
+        (SWAP_ORACLE + "[abc]", SWAPS + "test_swap_results_take_both_paths_on_long_words[cab]"),
+    ),
+    Mutant(
+        "the lcp of a periodic word stops at n - 1",
+        CIRCULAR,
+        "commonprefix([w, d[s : s + n]])",
+        "commonprefix([w, d[s : s + n - 1]])",
+        (),
+        "c_s = n - 1 marks [0, n - 1] too, every position, so a periodic w"
+        " certifies no site either way; this is why no periodic give-up is needed",
+    ),
+    Mutant(
+        "no growth check where an a moves right",
+        CIRCULAR,
+        "grow[i], f = 1 + k, (i + 2 + k) % n",
+        "grow[i], f = 0, (i + 2 + k) % n",
+        (SWAPS + "test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one", SWAP_ORACLE + "[abc]"),
+    ),
+    Mutant(
+        "no growth check where an a moves left",
+        CIRCULAR,
+        "grow[i], f = 1 + k, (i - 1 - k) % n",
+        "grow[i], f = 0, (i - 1 - k) % n",
+        (SWAP_ORACLE + "[abc]", SWAPS + "test_swap_results_take_both_paths_on_long_words[abc]"),
+    ),
+    Mutant(
+        "no check for two swapped a's meeting in one run",
+        CIRCULAR,
+        " and meet[p] != q:",
+        ":",
+        (SWAPS + "test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one", SWAP_ORACLE + "[cab]"),
+    ),
+    Mutant(
+        "a right-moving a meets the swap one letter too far",
+        CIRCULAR,
+        "k == L - 2 and d[f + 1] == a",
+        "k == L - 2 and d[f + 2] == a",
+        (SWAPS + "test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one", SWAP_ORACLE + "[abc]"),
+    ),
+    Mutant(
+        "a left-moving a meets the swap one letter too near",
+        CIRCULAR,
+        "meet[i] = (f - 1) % n",
+        "meet[i] = f",
+        (SWAP_ORACLE + "[abc]", SWAP_ORACLE + "[cab]"),
     ),
     Mutant(
         "a record stores its fields in reverse order",

@@ -8,6 +8,8 @@ are checked against their divisor-loop and seen-set definitions, and the
 rotations of the slender representatives against the permutations.  One
 scanner lists the CE1 and CE2 sites; the oracle splits every rotation into
 x·head·y·tail and evaluates the side conditions as the paper states them.
+A listing reads most sites' results from w's origin: every site is checked
+against the least rotation by brute force, and against the search it skips.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import pytest
 
 from circparikh import (
     Alphabet,
+    RuleApplication,
     canonicalize,
     circular,
     conjugacy_class,
@@ -24,6 +27,7 @@ from circparikh import (
     find_ce1,
     find_ce2,
     primitive_root,
+    rewriting,
     words,
 )
 from circparikh.words import _count_updates
@@ -283,3 +287,103 @@ def test_long_listings_match_site_oracle(spec):
         assert listed == site_oracle(alphabet, cw.canonical, duval_oracle), word
         sites += len(listed)
     assert sites > 0
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The results that listings send to the least-rotation search."""
+    words_searched = []
+    search = circular._canonical
+    monkeypatch.setattr(
+        circular, "_canonical", lambda alphabet, word: words_searched.append(word) or search(alphabet, word)
+    )
+    return words_searched
+
+
+def site_paths(cw, oracle, searched):
+    """Every site's result from `_swap_results` checked against `oracle`'s
+    least rotation; the numbers of sites read from w's origin and searched."""
+    origin = searches = 0
+    for rule in ("CE1", "CE2"):
+        canonical = circular._swap_results(cw)
+        for site, result in rewriting._sites(cw, rule):
+            before = len(searched)
+            got = canonical(site[0], site[1], result)
+            assert (got.canonical, got.period) == oracle(cw.alphabet, result), (cw, rule, site)
+            if len(searched) == before:
+                origin += 1
+            else:
+                searches += 1
+    return origin, searches
+
+
+@pytest.mark.parametrize("symbols", ["abc", "cab"])
+def test_swap_results_match_oracle_exhaustively(searched, symbols):
+    alphabet = Alphabet(symbols)
+    origin = searches = 0
+    for n in range(11):
+        for cw in enumerate_necklaces(alphabet, n):
+            o, s = site_paths(cw, least_rotation_oracle, searched)
+            origin, searches = origin + o, searches + s
+    assert origin > 0 and searches > 0
+    assert origin + searches > 21000
+
+
+@pytest.mark.parametrize("symbols", ["abc", "cab"])
+def test_swap_results_take_both_paths_on_long_words(searched, symbols):
+    """Random words of length 128-192, where most sites take the origin."""
+    alphabet = Alphabet(symbols)
+    rng = random.Random(symbols)
+    origin = searches = 0
+    for _ in range(6):
+        cw = canonicalize(alphabet, "".join(rng.choices(symbols, k=rng.randint(128, 192))))
+        o, s = site_paths(cw, duval_oracle, searched)
+        origin, searches = origin + o, searches + s
+    assert searches > 0 and origin > 3 * searches
+
+
+@pytest.mark.parametrize(
+    "word, rule, rotation, canonical",
+    [
+        # Two swapped a's meet in y = aaa: a run as long as w's a^5.
+        ("aaaaacabaaabac", "CE2", 13, "aaaaabcaaaaacb"),
+        # Two swapped a's meet around y = aa: a^4, where w's longest run is a^2.
+        ("aacabbbac", "CE1", 4, "aaaacbbbc"),
+    ],
+)
+def test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one(word, rule, rotation, canonical):
+    cw = canonicalize(Alphabet("abc"), word)
+    finder = find_ce1 if rule == "CE1" else find_ce2
+    (app,) = [app for app in finder(cw) if app.rotation == rotation]
+    assert app.result.canonical == canonical
+    assert app.result.canonical == least_rotation_oracle(cw.alphabet, canonical)[0]
+
+
+@st.composite
+def ternary_words(draw):
+    """A word of 20-300 letters shaped by the low-entropy, near-periodic or
+    rotated-power strategy, its letters mapped onto two or three letters of
+    a ternary alphabet in a drawn order."""
+    spec, word = draw(st.one_of(low_entropy_words(), near_periodic_words(), rotated_powers()))
+    order = "".join(draw(st.permutations("abc")))
+    content = draw(st.sampled_from([order, order[:2], order[1:], order[::2]]))
+    symbols = spec.replace(",", "")
+    word = word.translate({ord(s): content[i % len(content)] for i, s in enumerate(symbols)})
+    hypothesis.assume(word)
+    return order, (word * -(-20 // len(word)))[:300]
+
+
+def search_records(cw, rule):
+    """The records of a listing with every site's result searched."""
+    return [
+        RuleApplication(rule, *site, circular._canonical(cw.alphabet, result))
+        for site, result in rewriting._sites(cw, rule)
+    ]
+
+
+@hypothesis.given(ternary_words())
+def test_swap_results_match_the_search(case):
+    order, word = case
+    cw = canonicalize(Alphabet(order), word)
+    assert find_ce1(cw) == search_records(cw, "CE1")
+    assert find_ce2(cw) == search_records(cw, "CE2")
