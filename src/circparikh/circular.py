@@ -348,9 +348,10 @@ def _sums_inverse_alternate(sums, mirror_sums, n: int) -> bool:
     """M^-1 = alt(M') iff M alt(M') = I iff T alt(T') = n^2 I, with T and T'
     the ladder sums of [w] and of its mirror and n = max(|w|, 1)."""
     product = _tri_mul(sums, _alternating(mirror_sums))
-    return all(
-        e == (n * n if i == j else 0) for i, row in enumerate(product) for j, e in enumerate(row)
-    )
+    d = len(product)
+    square = [0] * (d * d)
+    square[:: d + 1] = [n * n] * d
+    return list(itertools.chain.from_iterable(product)) == square
 
 
 def circular_power_check(cw: CircularWord, p: int) -> bool:
@@ -380,7 +381,8 @@ def _power_holds(cw: CircularWord, p: int, power) -> bool:
     else:
         shifted = _rotation_sums(cw.canonical * p, cw.alphabet, cw.length)
     scale = max(cw.length, 1) ** (p - 1)
-    return all(scale * e_s == e for row_s, row in zip(shifted, power) for e_s, e in zip(row_s, row))
+    flat = itertools.chain.from_iterable
+    return list(map(scale.__mul__, flat(shifted))) == list(flat(power))
 
 
 def weak_ratio(alphabet: Alphabet, u: str, v: str) -> bool:

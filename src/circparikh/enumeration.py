@@ -184,20 +184,23 @@ def _walk(symbols, max_len: int, root, updates):
     `itertools.product` order, where `root` is the flat DP state of λ and
     the state of w·x is a copy of that of w with x read by `_read` through
     `updates`.  Depth-first to each length in turn through the prefix tree,
-    so it holds one root-to-leaf path of states, never a whole level; over
-    two or more letters it takes about |Σ| / (|Σ| - 1) steps per word."""
-
-    def below(word, state, depth):
-        if not depth:
-            yield word, state
-            return
-        for x in symbols:
-            child = state.copy()
-            _read(child, updates, x)
-            yield from below(word + x, child, depth - 1)
-
+    on an explicit stack: a word's children are pushed last letter first,
+    so the first pops next.  The stack holds the pending siblings of one
+    root-to-leaf path, never a whole level: with a word of length n just
+    yielded, at most n (|Σ| - 1) + 1 states besides the root.  Over two or
+    more letters it takes about |Σ| / (|Σ| - 1) steps per word."""
+    backward = tuple(reversed(symbols))
     for n in range(max_len + 1):
-        yield from below("", root, n)
+        stack = [("", root)]
+        while stack:
+            word, state = stack.pop()
+            if len(word) == n:
+                yield word, state
+                continue
+            for x in backward:
+                child = state.copy()
+                _read(child, updates, x)
+                stack.append((word + x, child))
 
 
 def _ladder_sums_by_word(alphabet: Alphabet):

@@ -9,6 +9,7 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -38,20 +39,49 @@ def _entry(e) -> Fraction:
 
 
 def _tri_mul(a, b) -> tuple:
-    """Product of two upper triangular matrices given as rows."""
-    d = len(a)
-    product = []
-    for i, row in enumerate(a):
-        # Below the diagonal the product keeps a's zeros, of a's entry type;
-        # only k in [i, j] contributes for triangular factors.
-        out = list(row[:i])
-        for j in range(i, d):
-            total = 0
-            for k in range(i, j + 1):
-                total += row[k] * b[k][j]
-            out.append(total)
-        product.append(tuple(out))
-    return tuple(product)
+    """Product of two upper triangular matrices given as rows, through the
+    straight-line `_tri_kernel` of their dimension, generated on first use.
+
+    Entry (i, j), i <= j, is one sum of the products a[i][k] b[k][j] over
+    k in [i, j], the only terms of triangular factors that can be non-zero;
+    below the diagonal the product keeps a's own entries (a's zeros, of
+    a's entry type).  No loop runs and no entry is indexed: the kernel
+    unpacks both factors into locals, and works alike on int and Fraction
+    entries."""
+    return _tri_kernel(len(a))(a, b)
+
+
+@functools.cache
+def _tri_kernel(d: int):
+    """The d x d triangular product of `_tri_mul` as one generated
+    function, built once per dimension on first use: its source holds
+    d (d + 1) (d + 2) / 6 products, O(d^3), which the verify suites keep
+    to d <= 4."""
+    namespace = {}
+    exec(_tri_source(d), namespace)
+    return namespace["product"]
+
+
+def _tri_source(d: int) -> str:
+    """Source of `_tri_kernel(d)`: entry (i, j) of a is the local a<i>_<j>,
+    and of b b<i>_<j>.  Nested list targets unpack the rows, so d = 1
+    unpacks [[a0_0]] (not the row itself) and d = 0 nothing; each entry and
+    row ends in a comma, so a one-entry row is a tuple too."""
+
+    def rows(name):
+        return "[" + ", ".join(
+            "[" + ", ".join(f"{name}{i}_{j}" for j in range(d)) + "]" for i in range(d)
+        ) + "]"
+
+    def entry(i, j):
+        if j < i:
+            return f"a{i}_{j}"
+        return " + ".join(f"a{i}_{k} * b{k}_{j}" for k in range(i, j + 1))
+
+    product = "".join(
+        "(" + "".join(f"{entry(i, j)}, " for j in range(d)) + "), " for i in range(d)
+    )
+    return f"def product(a, b):\n    {rows('a')} = a\n    {rows('b')} = b\n    return ({product})\n"
 
 
 def _alternating(rows) -> tuple:

@@ -72,10 +72,10 @@ class RuleApplication:
 def apply_e1(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one ac <-> ca factor swap, each factor
     found by `str.find`."""
-    _require_ternary(alphabet)
+    e1 = _rules(alphabet).e1
     alphabet.validate(word)
     out = set()
-    for factor, opposite in _rules(alphabet).e1:
+    for factor, opposite in e1:
         i = word.find(factor)
         while i != -1:
             out.add(word[:i] + opposite + word[i + 2 :])
@@ -86,9 +86,8 @@ def apply_e1(alphabet: Alphabet, word: str) -> set:
 def apply_e2(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one x·αb·y·bα·z <-> x·bα·y·αb·z swap with
     y restricted to {α, b}, from one scan of the word for both α."""
-    _require_ternary(alphabet)
-    alphabet.validate(word)
     swaps = _rules(alphabet).e2
+    alphabet.validate(word)
     n = len(word)
     out = set()
     for i in range(n - 3):
@@ -96,12 +95,12 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
         swap = swaps.get(first)
         if swap is None:
             continue
-        second, allowed = swap
-        # y = word[i+2 : j] stays over {α, b} until the first other letter.
+        second, stop = swap
+        # y = word[i+2 : j] stays over {α, b} until the first ᾱ.
         for j in range(i + 2, n - 1):
             if word[j : j + 2] == second:
                 out.add(word[:i] + second + word[i + 2 : j] + first + word[j + 2 :])
-            if word[j] not in allowed:
+            if word[j] == stop:
                 break
     return out
 
@@ -109,7 +108,6 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
 def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
     """Both sides of the CE1 condition for x·ac·y·ca -> x·ca·y·ac:
     (|y|_b (|x|_a - |x|_c), |x|_b (|y|_a - |y|_c))."""
-    _require_ternary(alphabet)
     ((_, _, _, roles, sides),) = _factors(alphabet, "CE1")
     return sides(_counts(x, roles), _counts(y, roles))
 
@@ -117,11 +115,10 @@ def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
 def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
     """Both sides of the CE2 condition for x·αb·y·bα -> x·bα·y·αb, α in
     {a, c}: (|x|_ᾱ (|y| + |y|_b + 3), |y|_ᾱ (|x| + |x|_b + 3))."""
-    _require_ternary(alphabet)
-    a, b, c = alphabet.symbols
     for swapped, _, _, roles, sides in _factors(alphabet, "CE2"):
         if alpha == swapped:
             return sides(_counts(x, roles), _counts(y, roles))
+    a, b, c = alphabet.symbols
     raise ValueError(f"CE2 swaps {a} or {c} with {b}, got {alpha!r}")
 
 
@@ -157,9 +154,10 @@ _Rules = namedtuple("_Rules", "factors e1 e2 indicators")
 
 def _rules(alphabet: Alphabet) -> _Rules:
     """The rule tables of a ternary alphabet, compiled on its first use and
-    kept on it."""
+    kept on it; a ValueError for any other alphabet."""
     rules = alphabet._rules
     if rules is None:
+        _require_ternary(alphabet)
         rules = alphabet._rules = _compile_rules(alphabet.symbols)
     return rules
 
@@ -172,8 +170,8 @@ def _compile_rules(symbols: tuple) -> _Rules:
       one per α in {a, c} for CE2, where sides maps the counts of the
       `roles` letters in x and in y to both sides of the side condition;
     * e1: (factor, opposite) for the factors ac and ca that E1 swaps;
-    * e2: each factor αb and bα that E2 swaps -> (its opposite, the
-      letters y may hold);
+    * e2: each factor αb and bα that E2 swaps -> (its opposite, ᾱ, the
+      letter that ends y, which may hold only α and b);
     * indicators: (letter, table) per letter, where `str.translate` by the
       table maps the letter to chr(1) and the others to chr(0).
     """
@@ -184,9 +182,9 @@ def _compile_rules(symbols: tuple) -> _Rules:
         (c, c + b, b + c, (c, b, a), _ce2_sides),
     )
     e2 = {}
-    for alpha, head, tail, *_ in ce2:
-        e2[head] = tail, (alpha, b)
-        e2[tail] = head, (alpha, b)
+    for _, head, tail, (_, _, bar), _ in ce2:
+        e2[head] = tail, bar
+        e2[tail] = head, bar
     indicators = tuple(
         (letter, {ord(x): int(x == letter) for x in symbols}) for letter in symbols
     )
@@ -205,11 +203,10 @@ def _sites(cw: CircularWord, rule: str):
     prefix counts of d, and the result is joined from slices of d: O(n)
     Python work per word plus O(1) per site.
     """
-    _require_ternary(cw.alphabet)
+    rules = _rules(cw.alphabet)
     w = cw.canonical
     n = len(w)
     d = w + w
-    rules = _rules(cw.alphabet)
     factors = rules.factors[rule]
     anchors = sorted(
         (t, k)

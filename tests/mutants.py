@@ -282,6 +282,33 @@ MUTANTS = [
         (SWAP_ORACLE + "[abc]", SWAP_ORACLE + "[cab]"),
     ),
     Mutant(
+        "the triangular product drops its last term off the diagonal",
+        "src/circparikh/matrices.py",
+        "for k in range(i, j + 1))",
+        "for k in range(i, max(j, i + 1)))",
+        (
+            "tests/test_tri_kernel.py::test_generated_product_matches_the_loop[int]",
+            "tests/test_integer_paths.py::test_integer_triangular_product_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "the power check drops the scale n^(p-1)",
+        CIRCULAR,
+        "map(scale.__mul__, flat(shifted))",
+        "flat(shifted)",
+        (
+            "tests/test_circular.py::TestPowerCheck::test_exhaustive_small",
+            "tests/test_integer_paths.py::test_integer_identity_checks_match_fraction_oracle[a,b-7-verdicts0]",
+        ),
+    ),
+    Mutant(
+        "the walk pushes a word's children first letter first",
+        "src/circparikh/enumeration.py",
+        "tuple(reversed(symbols))",
+        "tuple(symbols)",
+        (SHARING + "test_walk_matches_the_recursive_walk[abc]", SHARING + "test_walk_yields_words_up_to_order[ab]"),
+    ),
+    Mutant(
         "a record stores its fields in reverse order",
         WORDS,
         """exec(f"def __init__(self, {', '.join(names)}):\\n{body}", namespace)""",
@@ -333,11 +360,21 @@ MUTANTS = [
     Mutant(
         "E2 swaps αb...bα one way only",
         REWRITING,
-        "        e2[tail] = head, (alpha, b)\n",
+        "        e2[tail] = head, bar\n",
         "",
         (
             "tests/test_rewriting.py::TestLinearRules::test_e2_reverse_direction",
             "tests/test_rewriting.py::TestE2AgainstOracle::test_every_word_up_to_7",
+        ),
+    ),
+    Mutant(
+        "E2 ends y at α, not at ᾱ",
+        REWRITING,
+        "for _, head, tail, (_, _, bar), _ in ce2:",
+        "for _, head, tail, (bar, _, _), _ in ce2:",
+        (
+            "tests/test_rewriting.py::TestE2AgainstOracle::test_every_word_up_to_7",
+            "tests/test_rewriting.py::TestE2AgainstOracle::test_random_words",
         ),
     ),
     Mutant(

@@ -11,6 +11,9 @@ recompute everything for each word from scratch, as the suites used to:
 `words_up_to` below, `permutation_identity_check`, `_parikh_rows`,
 `reference_count` below, `m_equivalent`, `circular_inverse_alternate_check`
 and `circular_power_check`.  The call counts pin the sharing itself.
+The walk's stack is checked against `recursive_walk` below, the
+recursive generators it replaced, word by word and state by state, and
+for how many states it holds.
 The reader `words._read` behind `_count` and the walk's step is checked
 entry by entry against `reference_count`, a textbook DP that shares no
 code with it, and for composition: reading w, then u, is reading w·u.
@@ -28,6 +31,7 @@ once per alphabet.
 
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -92,6 +96,60 @@ def test_walk_yields_words_up_to_order(symbols):
     walked = list(_walk(symbols, 6, [1, 0] * len(symbols), _count_updates(symbols)))
     assert [w for w, _ in walked] == list(words_up_to(symbols, 6))
     assert all(state[1::2] == [w.count(s) for s in symbols] for w, state in walked)
+
+
+def recursive_walk(symbols, max_len, root, updates):
+    """The walk as recursive generators, each word passed up through one
+    `yield from` per letter: the oracle of `_walk`'s order and states."""
+
+    def below(word, state, depth):
+        if not depth:
+            yield word, state
+            return
+        for x in symbols:
+            child = state.copy()
+            _read(child, updates, x)
+            yield from below(word + x, child, depth - 1)
+
+    for n in range(max_len + 1):
+        yield from below("", root, n)
+
+
+@pytest.mark.parametrize("symbols", ["a", "ba", "abc", "cab"])
+def test_walk_matches_the_recursive_walk(symbols):
+    # The ladder rows of `linear-rules` and the permutation DPs of
+    # `product-identity`, word by word and state by state.
+    d = len(symbols) + 1
+    permutations = ["".join(p) for p in itertools.permutations(symbols)]
+    for root, updates in (
+        (_identity(d), _program(symbols)),
+        (([1] + [0] * (d - 1)) * len(permutations), _count_updates(permutations)),
+    ):
+        walked = list(_walk(tuple(symbols), 6, root, updates))
+        assert walked == list(recursive_walk(symbols, 6, root, updates))
+        assert len(walked) == sum(len(symbols) ** n for n in range(7))
+
+
+@pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+@pytest.mark.parametrize("max_len", [0, 1, 6])
+def test_walk_holds_one_path_of_pending_states(symbols, max_len):
+    # Each state the walk copies is tracked while it lives: whenever a word
+    # is yielded, at most max_len (|Σ| - 1) + 1 of them are alive besides
+    # the root, the pending siblings along one root-to-leaf path.
+    live = []  # one token per copy not yet freed
+
+    class State(list):
+        def copy(self):
+            child = State(self)
+            live.append(None)
+            weakref.finalize(child, live.pop)
+            return child
+
+    peak = 0
+    for _ in _walk(symbols, max_len, State(_identity(len(symbols) + 1)), _program(symbols)):
+        peak = max(peak, len(live))
+    assert peak <= max_len * (len(symbols) - 1) + 1
+    assert (peak > 0) == (max_len > 0)
 
 
 def linear_verdicts(alphabet, max_length):
