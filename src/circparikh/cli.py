@@ -26,7 +26,7 @@ from .enumeration import (
     run_suite,
     search_negative_minor,
 )
-from .rewriting import find_ce1, find_ce2, rewrite_closure
+from .rewriting import _applications, rewrite_closure
 from .words import Alphabet, count_subword, parikh_matrix
 
 USAGE_ERROR = 64
@@ -195,11 +195,7 @@ def _cmd_rules(args) -> int:
         else:
             print(dot)
         return 0
-    apps = []
-    if "CE1" in rules:
-        apps.extend(find_ce1(cw))
-    if "CE2" in rules:
-        apps.extend(find_ce2(cw))
+    apps = _applications(cw, rules)
     if not apps:
         print("no applications")
     for app in apps:

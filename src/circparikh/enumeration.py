@@ -31,7 +31,7 @@ from .circular import (
 )
 from .matrices import _tri_mul
 from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
-from .words import Alphabet, _count_updates, _identity, _program, _read, mirror, parikh_vector
+from .words import Alphabet, _read, _table, mirror, parikh_vector
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -289,8 +289,7 @@ def _product_identity(alphabet, max_length):
     symbols = alphabet.symbols
     d = len(symbols) + 1
     patterns = ["".join(p) for p in itertools.permutations(symbols)]
-    root = ([1] + [0] * (d - 1)) * len(patterns)
-    for w, flat in _walk(symbols, max_length, root, _count_updates(patterns)):
+    for w, flat in _walk(symbols, max_length, *_table(patterns)):
         ok = sum(flat[d - 1 :: d]) == math.prod(w.count(s) for s in symbols)
         yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
     coverings = _coverings(alphabet)
@@ -320,13 +319,15 @@ def _ce_iff(rule, alphabet, max_split):
 
 def _linear_rules(alphabet, max_length):
     """Each E1/E2 result w2 of w has the linear Parikh rows of w.  The walk
-    gives the flat rows of every word of one length n, in base-|Σ| rank
-    order, before any is checked; they are kept in that order, without the
-    words.  A w2 = u·v of length n, |u| = n // 2, is looked up at rank
-    rank(u) |Σ|^|v| + rank(v); any other w2 fails.  Equal rows are one
-    shared tuple."""
+    holds the subword DPs of the ladder's suffixes, each row of M_v from its
+    diagonal on (`_table`), so equal states are equal matrices.  It gives
+    those of every word of one length n, in base-|Σ| rank order, before any
+    is checked; they are kept in that order, without the words.  A w2 = u·v
+    of length n, |u| = n // 2, is looked up at rank rank(u) |Σ|^|v| +
+    rank(v); any other w2 fails.  Equal rows are one shared tuple."""
     symbols = alphabet.symbols
-    walk = _walk(symbols, max_length, _identity(alphabet.size + 1), _program("".join(symbols)))
+    ladder = "".join(symbols)
+    walk = _walk(symbols, max_length, *_table([ladder[i:] for i in range(len(ladder))]))
     for n, level in itertools.groupby(walk, lambda item: len(item[0])):
         distinct = {}
         rows = [distinct.setdefault(r, r) for r in (tuple(flat) for _, flat in level)]

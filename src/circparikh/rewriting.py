@@ -169,7 +169,8 @@ def _compile_rules(symbols: tuple) -> _Rules:
       x·tail·y·head as (α, head, tail, roles, sides), one for CE1 (α None),
       one per α in {a, c} for CE2, where sides maps the counts of the
       `roles` letters in x and in y to both sides of the side condition;
-    * e1: (factor, opposite) for the factors ac and ca that E1 swaps;
+    * e1: (factor, opposite) for the factors ac and ca that E1 swaps,
+      CE1's head and tail, each way;
     * e2: each factor αb and bα that E2 swaps -> (its opposite, ᾱ, the
       letter that ends y, which may hold only α and b);
     * indicators: (letter, table) per letter, where `str.translate` by the
@@ -181,6 +182,8 @@ def _compile_rules(symbols: tuple) -> _Rules:
         (a, a + b, b + a, (a, b, c), _ce2_sides),
         (c, c + b, b + c, (c, b, a), _ce2_sides),
     )
+    ((_, head, tail, _, _),) = ce1
+    e1 = (head, tail), (tail, head)
     e2 = {}
     for _, head, tail, (_, _, bar), _ in ce2:
         e2[head] = tail, bar
@@ -188,7 +191,7 @@ def _compile_rules(symbols: tuple) -> _Rules:
     indicators = tuple(
         (letter, {ord(x): int(x == letter) for x in symbols}) for letter in symbols
     )
-    return _Rules({"CE1": ce1, "CE2": ce2}, ((a + c, c + a), (c + a, a + c)), e2, indicators)
+    return _Rules({"CE1": ce1, "CE2": ce2}, e1, e2, indicators)
 
 
 def _sites(cw: CircularWord, rule: str):
@@ -244,25 +247,27 @@ def _find_all(text: str, sub: str, start: int, end: int):
         i = text.find(sub, i + 1, end)
 
 
-def _applications(cw: CircularWord, rule: str) -> list:
-    """Every site of `rule` in [w] with its canonical result, which
-    rearranges the letters of [w] and so needs no validation."""
+def _applications(cw: CircularWord, rules) -> list:
+    """Every site of each of `rules` in [w], rule by rule, with its
+    canonical result, which rearranges the letters of [w] and so needs no
+    validation; the listing certificate is built once for them all."""
     canonical = _swap_results(cw)
     return [
         RuleApplication(rule, *site, canonical(site[0], site[1], result))
+        for rule in rules
         for site, result in _sites(cw, rule)
     ]
 
 
 def find_ce1(cw: CircularWord) -> list:
     """Every CE1 site of [w]: each rotation that factors as x·ac·y·ca."""
-    return _applications(cw, "CE1")
+    return _applications(cw, ("CE1",))
 
 
 def find_ce2(cw: CircularWord) -> list:
     """Every CE2 site of [w]: each rotation that factors as x·αb·y·bα
     (α in {a, c}, y arbitrary)."""
-    return _applications(cw, "CE2")
+    return _applications(cw, ("CE2",))
 
 
 @dataclass(frozen=True)

@@ -131,31 +131,36 @@ def mirror(word: str) -> str:
     return word[::-1]
 
 
-def _count_updates(patterns) -> dict:
+def _table(patterns) -> tuple:
     """The subword-count DPs of `patterns` held one after another on one
     flat list, a block of |pattern| + 1 entries each, whose entry j counts
-    the placements of pattern[:j]: each letter x mapped to the (target,
-    source) pairs that advance them all, j into j + 1 at each position j
-    that holds x, in descending order so that `_read` reads entry j before
-    the same letter has advanced it."""
-    updates, offset = {}, 0
+    the placements of pattern[:j]: (root, updates), where root is the list
+    for λ, a block [1, 0, ..., 0] per pattern, and updates maps each letter
+    x to the (target, source) pairs that advance them all, j into j + 1 at
+    each position j that holds x, in descending order so that `_read` reads
+    entry j before the same letter has advanced it.  For the suffixes
+    v[i:] of a pattern v, block i is row i of M_v from its diagonal on, as
+    entry (i, j) of M_v(w) counts the factor v[i:j] in w."""
+    root, updates = [], {}
     for pattern in patterns:
+        offset = len(root)
         for j in range(len(pattern) - 1, -1, -1):
             updates.setdefault(pattern[j], []).append((offset + j + 1, offset + j))
-        offset += len(pattern) + 1
-    return updates
+        root += [1] + [0] * len(pattern)
+    return root, updates
 
 
 def _count(word: str, *patterns: str) -> list:
     """Occurrences of each of `patterns` as a scattered subword of `word`:
-    one read of their `_count_updates` table, where a letter costs O(1)
-    plus one step per position that holds it, not O(m) per pattern."""
-    dp, ends = [], []
+    one read of their `_table`, where a letter costs O(1) plus one step per
+    position that holds it, not O(m) per pattern."""
+    dp, updates = _table(patterns)
+    _read(dp, updates, word)
+    counts, end = [], -1
     for pattern in patterns:
-        dp += [1] + [0] * len(pattern)
-        ends.append(len(dp) - 1)
-    _read(dp, _count_updates(patterns), word)
-    return [dp[end] for end in ends]
+        end += len(pattern) + 1
+        counts.append(dp[end])
+    return counts
 
 
 def count_subword(word: str, pattern: str, alphabet: Alphabet | None = None) -> int:
@@ -174,21 +179,6 @@ def parikh_vector(alphabet: Alphabet, word: str) -> tuple:
     """Per-symbol occurrence counts, in alphabet order."""
     alphabet.validate(word)
     return tuple(word.count(s) for s in alphabet.symbols)
-
-
-def _program(pattern: str) -> dict:
-    """The updates each letter x makes to the generalized Parikh matrix M_v
-    of the pattern v, held flat and row-major as (m+1)^2 ints: M_v(x) is
-    the identity plus a 1 at (k, k+1) for each position k of v that holds
-    x.  x maps to the (target, source) pairs of rows <- rows M_v(x):
-    column k into column k+1 over rows 0..k, the only non-zero ones in
-    column k of upper triangular rows, for k descending so that column k
-    is read before the same letter has advanced it."""
-    d = len(pattern) + 1
-    read = {}
-    for k in range(d - 2, -1, -1):
-        read.setdefault(pattern[k], []).extend((r * d + k + 1, r * d + k) for r in range(k + 1))
-    return read
 
 
 @functools.cache
@@ -281,19 +271,11 @@ def _kernel_source(m: int, entries: tuple | None) -> str:
 
 def _read(flat: list, updates: dict, word: str) -> None:
     """Read `word` into the flat DP list `flat` in place: each letter adds
-    entry s into entry t for each of its (t, s) pairs in `updates`, from
-    `_count_updates` or `_program` (then flat <- flat M_v(word)
-    for flat upper triangular rows, as every M_v(u) is)."""
+    entry s into entry t for each of its (t, s) pairs in `updates`, a
+    `_table`'s."""
     for ch in word:
         for t, s in updates.get(ch, ()):
             flat[t] += flat[s]
-
-
-def _identity(d: int) -> list:
-    """The d x d identity, flat and row-major."""
-    flat = [0] * (d * d)
-    flat[:: d + 1] = [1] * d
-    return flat
 
 
 def _parikh_rows(alphabet: Alphabet, word: str):

@@ -38,6 +38,9 @@ class Mutant(NamedTuple):
 CIRCULAR = "src/circparikh/circular.py"
 REWRITING = "src/circparikh/rewriting.py"
 WORDS = "src/circparikh/words.py"
+ENUMERATION = "src/circparikh/enumeration.py"
+WORDS_TESTS = "tests/test_words.py::"
+ROTATION = "tests/test_rotation_kernel.py::"
 RECORDS = "tests/test_records.py::"
 LADDER_KERNEL = "tests/test_ladder_kernel.py::"
 SHARING = "tests/test_suite_sharing.py::"
@@ -201,10 +204,191 @@ MUTANTS = [
     ),
     Mutant(
         "linear-rules walks the mirrored ladder",
-        "src/circparikh/enumeration.py",
-        '_program("".join(symbols))',
-        '_program("".join(symbols)[::-1])',
+        ENUMERATION,
+        'ladder = "".join(symbols)',
+        'ladder = "".join(symbols)[::-1]',
         (SHARING + "test_linear_rules_walk_holds_each_words_parikh_rows[c,a,b]",),
+    ),
+    Mutant(
+        "linear-rules walks the suffixes without the full ladder",
+        ENUMERATION,
+        "for i in range(len(ladder))",
+        "for i in range(1, len(ladder))",
+        (
+            SHARING + "test_linear_rules_walk_holds_each_words_parikh_rows[a,b,c]",
+            SHARING + "test_ladder_calls_compile_nothing",
+        ),
+    ),
+    Mutant(
+        "the count table advances its positions in ascending order",
+        WORDS,
+        "for j in range(len(pattern) - 1, -1, -1):",
+        "for j in range(len(pattern)):",
+        (
+            SHARING + "test_read_counts_factors_of_repeated_letter_patterns",
+            SHARING + "test_count_matches_reference_count_pattern_by_pattern",
+        ),
+    ),
+    Mutant(
+        "_count reads each block one entry early",
+        WORDS,
+        "end += len(pattern) + 1",
+        "end += len(pattern)",
+        (
+            SHARING + "test_count_matches_reference_count_pattern_by_pattern",
+            WORDS_TESTS + "TestCountSubword::test_paper_examples",
+        ),
+    ),
+    Mutant(
+        "_count reads the last block for every pattern",
+        WORDS,
+        "counts.append(dp[end])",
+        "counts.append(dp[-1])",
+        (SHARING + "test_count_matches_reference_count_pattern_by_pattern",),
+    ),
+    Mutant(
+        "the permutation identity check always holds",
+        WORDS,
+        "return total == math.prod(word.count(s) for s in alphabet.symbols)",
+        "return True",
+        (SHARING + "test_identity_checks_report_the_identity_of_their_counts[True-abc]",),
+    ),
+    Mutant(
+        "the inverse identity check always holds",
+        WORDS,
+        "return cba == na * nb * nc - na * bc - ab * nc + abc",
+        "return True",
+        (SHARING + "test_identity_checks_report_the_identity_of_their_counts[True-cab]",),
+    ),
+    Mutant(
+        "the inverse identity check reads abc for cba",
+        WORDS,
+        "a + b + c, c + b + a)",
+        "a + b + c, a + b + c)",
+        (WORDS_TESTS + "TestIdentities::test_inverse_identity_exhaustive",),
+    ),
+    Mutant(
+        "linear-rules looks a result up with its halves swapped",
+        ENUMERATION,
+        "rows[u * scale + v]",
+        "rows[v * scale + u]",
+        (SHARING + "test_linear_rules_reads_only_the_root_from_scratch",),
+    ),
+    Mutant(
+        "linear-rules drops its length and alphabet check",
+        ENUMERATION,
+        "len(w2) == n and None not in (u, v) and ",
+        "",
+        (SHARING + "test_linear_rules_fails_a_result_outside_the_level[longer]",),
+    ),
+    Mutant(
+        "linear-rules drops its length check",
+        ENUMERATION,
+        "len(w2) == n and ",
+        "",
+        (SHARING + "test_linear_rules_fails_a_result_outside_the_level[shorter]",),
+    ),
+    Mutant(
+        "the linear matrix reads the ladder in code-point order",
+        WORDS,
+        "(word, 1, *alphabet.symbols)",
+        "(word, 1, *sorted(alphabet.symbols))",
+        (SHARING + "test_read_ladder_rows_count_factors[c,a,b-6]",),
+    ),
+    Mutant(
+        "the rotation's column pairs do not skip (k, k+1)",
+        WORDS,
+        "            for r in range(k):\n                src += update(",
+        "            for r in range(k + 1):\n                src += update(",
+        (
+            ROTATION + "test_kernel_exhaustive_small",
+            ROTATION + "test_ladder_kernel_matches_per_shift_parikh_rows",
+        ),
+    ),
+    Mutant(
+        "the rotation's row pairs stop one column early",
+        WORDS,
+        "for j in range(k + 2, d):",
+        "for j in range(k + 2, d - 1):",
+        (
+            ROTATION + "test_kernel_exhaustive_small",
+            ROTATION + "test_ladder_kernel_matches_per_shift_parikh_rows",
+        ),
+    ),
+    Mutant(
+        "the kernel reads a diagonal source as 0",
+        WORDS,
+        'm{k * d + k + 1} += 1")',
+        'm{k * d + k + 1} += 0")',
+        (
+            ROTATION + "test_kernel_exhaustive_small",
+            ROTATION + "test_ladder_kernel_matches_per_shift_parikh_rows",
+        ),
+    ),
+    Mutant(
+        "the ladder sums start unscaled",
+        WORDS,
+        'f"    s{i} = shifts * m{i}"',
+        'f"    s{i} = m{i}"',
+        (
+            ROTATION + "test_ladder_kernel_matches_per_shift_parikh_rows",
+            ROTATION + "test_m_equivalent_is_matrix_equality",
+        ),
+    ),
+    Mutant(
+        "canonicalize ranks gaps by length first",
+        CIRCULAR,
+        "sorted(set(gaps))",
+        "sorted(set(gaps), key=lambda g: (len(g), g))",
+        (SWAPS + "test_canonicalize_on_near_periodic_words",),
+    ),
+    Mutant(
+        "canonicalize steps over one letter more per gap",
+        CIRCULAR,
+        "first + j * lo + ",
+        "first + j * (lo + 1) + ",
+        (
+            SWAPS + "test_canonicalize_on_rotated_powers",
+            SWAPS + "test_canonicalize_on_near_periodic_words",
+        ),
+    ),
+    Mutant(
+        "canonicalize probes one letter past the bisection's midpoint",
+        CIRCULAR,
+        "if least * mid in tt:",
+        "if least * (mid + 1) in tt:",
+        (SWAPS + "test_canonicalize_on_near_periodic_words",),
+    ),
+    Mutant(
+        "canonicalize skips a run that starts right after the last",
+        CIRCULAR,
+        "i + lo + 1, end",
+        "i + lo + 2, end",
+        (
+            "tests/test_circular.py::TestCanonicalize::test_examples",
+            SWAPS + "test_canonicalize_on_low_entropy_words",
+        ),
+    ),
+    Mutant(
+        "canonicalize keeps the larger rotation",
+        CIRCULAR,
+        "if rotation < least_rotation:",
+        "if rotation > least_rotation:",
+        ("tests/test_circular.py::TestCanonicalize::test_canonical_is_least_rotation",),
+    ),
+    Mutant(
+        "canonicalize starts a single longest run at 0",
+        CIRCULAR,
+        "    if runs == 1:\n        return first\n",
+        "    if runs == 1:\n        return 0\n",
+        ("tests/test_circular.py::TestCanonicalize::test_examples",),
+    ),
+    Mutant(
+        "the primitive root looks for the word from position 2",
+        CIRCULAR,
+        "find(word, 1)",
+        "find(word, 2)",
+        ("tests/test_circular.py::TestShiftsAndClasses::test_primitive_root",),
     ),
     Mutant(
         "listings validate every site's result",
@@ -302,8 +486,25 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the walk reads a child into its parent's state",
+        ENUMERATION,
+        "child = state.copy()",
+        "child = state",
+        (SHARING + "test_walk_matches_the_recursive_walk[abc]", SHARING + "test_walk_yields_words_up_to_order[ab]"),
+    ),
+    Mutant(
+        "the reader skips the last letter",
+        WORDS,
+        "    for ch in word:\n        for t, s in updates",
+        "    for ch in word[:-1]:\n        for t, s in updates",
+        (
+            SHARING + "test_read_ladder_rows_count_factors[a,b,c-7]",
+            SHARING + "test_count_matches_reference_count_pattern_by_pattern",
+        ),
+    ),
+    Mutant(
         "the walk pushes a word's children first letter first",
-        "src/circparikh/enumeration.py",
+        ENUMERATION,
         "tuple(reversed(symbols))",
         "tuple(symbols)",
         (SHARING + "test_walk_matches_the_recursive_walk[abc]", SHARING + "test_walk_yields_words_up_to_order[ab]"),
@@ -335,8 +536,8 @@ MUTANTS = [
     Mutant(
         "E1 swaps ac alone",
         REWRITING,
-        "((a + c, c + a), (c + a, a + c))",
-        "((a + c, c + a),)",
+        "e1 = (head, tail), (tail, head)",
+        "e1 = ((head, tail),)",
         (
             "tests/test_rewriting.py::TestLinearRules::test_e1_examples",
             E1_ORACLE + "test_every_word_up_to_9[bca]",
@@ -368,6 +569,34 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "E2 tests for the end of y before the factor",
+        REWRITING,
+        """            if word[j : j + 2] == second:
+                out.add(word[:i] + second + word[i + 2 : j] + first + word[j + 2 :])
+            if word[j] == stop:
+                break
+""",
+        """            if word[j] == stop:
+                break
+            if word[j : j + 2] == second:
+                out.add(word[:i] + second + word[i + 2 : j] + first + word[j + 2 :])
+""",
+        (),
+        "the opposite factor at j starts with α or b, never with the ᾱ that ends y,"
+        " so the factor test fails wherever the break would come first",
+    ),
+    Mutant(
+        "CE2 lists its α entries c first",
+        REWRITING,
+        """        (a, a + b, b + a, (a, b, c), _ce2_sides),
+        (c, c + b, b + c, (c, b, a), _ce2_sides),
+""",
+        """        (c, c + b, b + c, (c, b, a), _ce2_sides),
+        (a, a + b, b + a, (a, b, c), _ce2_sides),
+""",
+        ("tests/test_golden.py::test_transcript_matches_golden[failing-ce2-iff]",),
+    ),
+    Mutant(
         "E2 ends y at α, not at ᾱ",
         REWRITING,
         "for _, head, tail, (_, _, bar), _ in ce2:",
@@ -393,6 +622,13 @@ MUTANTS = [
         "    rules = alphabet._rules\n",
         "    rules = None\n",
         ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
+    ),
+    Mutant(
+        "a listing builds the certificate once per rule",
+        REWRITING,
+        "        for rule in rules\n",
+        "        for rule in rules\n        for canonical in [_swap_results(cw)]\n",
+        ("tests/test_rewriting.py::test_rules_listing_builds_one_certificate",),
     ),
 ]
 

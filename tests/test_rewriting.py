@@ -23,6 +23,7 @@ from circparikh import (
     rewrite_closure,
 )
 from circparikh import enumeration, rewriting
+from circparikh.cli import main
 from circparikh.rewriting import (
     RewriteEdge,
     RewriteGraph,
@@ -289,6 +290,18 @@ def test_listings_validate_per_call_not_per_site(monkeypatch, finder):
         per_call.append(len(calls))
     assert sites[0] == 1 and sites[1] >= 800
     assert per_call[0] == per_call[1] <= 1
+
+
+def test_rules_listing_builds_one_certificate(monkeypatch, capsys):
+    # `rules --rule both` lists the CE1 and then the CE2 sites of one word
+    # from one listing certificate, not one per rule.
+    built, swap_results = [], rewriting._swap_results
+    monkeypatch.setattr(rewriting, "_swap_results", lambda cw: built.append(cw) or swap_results(cw))
+    assert main(["rules", "--rule", "both", "abbcaaacbaca"]) == 0
+    rules = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert "CE1" in rules and "CE2" in rules
+    assert rules == sorted(rules)
+    assert [cw.canonical for cw in built] == ["aaacbacaabbc"]
 
 
 def split_pairs(max_total):

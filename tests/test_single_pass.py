@@ -30,7 +30,7 @@ from circparikh import (
     rewriting,
     words,
 )
-from circparikh.words import _count_updates
+from circparikh.words import _table
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -147,9 +147,9 @@ def test_slender_representatives_hit_each_rotation_class_once(monkeypatch, symbo
 
     def recording(patterns):
         tables.append(list(patterns))
-        return _count_updates(patterns)
+        return _table(patterns)
 
-    monkeypatch.setattr(words, "_count_updates", recording)
+    monkeypatch.setattr(words, "_table", recording)
     circular.slender_partition_check(canonicalize(Alphabet(symbols), symbols))
     assert len(tables) == 1
     assert sorted(tables[0]) == sorted(map("".join, itertools.permutations(symbols)))

@@ -14,19 +14,20 @@ and `circular_power_check`.  The call counts pin the sharing itself.
 The walk's stack is checked against `recursive_walk` below, the
 recursive generators it replaced, word by word and state by state, and
 for how many states it holds.
-The reader `words._read` behind `_count` and the walk's step is checked
-entry by entry against `reference_count`, a textbook DP that shares no
-code with it, and for composition: reading w, then u, is reading w·u.
+The one count table `words._table` and its reader `words._read`, behind
+`_count` and both walks, are checked entry by entry against
+`reference_count`, a textbook DP that shares no code with them: the
+suffixes of a pattern v, repeated letters included, against the factor
+counts of M_v, and for composition: reading w, then u, is reading w·u.
 `parikh_matrix`, the ladder kernel over one shift, is checked entry by
 entry against it too.  `_count` reads many patterns in one pass: its
 counts are checked pattern by pattern against `reference_count`, each
 public count and identity check reads the word once, and under a wrong
 count table each identity check reports the identity of the counts it
-read, false on some words.  Only the `linear-rules` walk compiles a
-`_program` table: the ladder, `avg_count` and the coverings π·π[:-1] of
-`product-identity` run through generated kernels, one per pattern length
-and entries, and the `product-identity` walk compiles its count table
-once per alphabet.
+read, false on some words.  The ladder, `avg_count` and the coverings
+π·π[:-1] of `product-identity` run through generated kernels, one per
+pattern length and entries, and compile no table; each walk compiles one
+per alphabet, the ladder's suffixes for `linear-rules`.
 """
 
 import itertools
@@ -56,14 +57,7 @@ from circparikh import (
 from circparikh.enumeration import _walk
 from circparikh.matrices import _tri_mul
 from circparikh.rewriting import _counts, _factors
-from circparikh.words import (
-    _count_updates,
-    _identity,
-    _parikh_rows,
-    _program,
-    _read,
-    permutation_identity_check,
-)
+from circparikh.words import _parikh_rows, _read, _table, permutation_identity_check
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -93,7 +87,7 @@ def reference_count(word, pattern):
 def test_walk_yields_words_up_to_order(symbols):
     # With one single-letter DP per symbol as the state, each state holds the
     # letter counts of the path that led to it.
-    walked = list(_walk(symbols, 6, [1, 0] * len(symbols), _count_updates(symbols)))
+    walked = list(_walk(symbols, 6, *_table(symbols)))
     assert [w for w, _ in walked] == list(words_up_to(symbols, 6))
     assert all(state[1::2] == [w.count(s) for s in symbols] for w, state in walked)
 
@@ -117,14 +111,10 @@ def recursive_walk(symbols, max_len, root, updates):
 
 @pytest.mark.parametrize("symbols", ["a", "ba", "abc", "cab"])
 def test_walk_matches_the_recursive_walk(symbols):
-    # The ladder rows of `linear-rules` and the permutation DPs of
+    # The ladder's suffix DPs of `linear-rules` and the permutation DPs of
     # `product-identity`, word by word and state by state.
-    d = len(symbols) + 1
     permutations = ["".join(p) for p in itertools.permutations(symbols)]
-    for root, updates in (
-        (_identity(d), _program(symbols)),
-        (([1] + [0] * (d - 1)) * len(permutations), _count_updates(permutations)),
-    ):
+    for root, updates in (suffix_table(symbols), _table(permutations)):
         walked = list(_walk(tuple(symbols), 6, root, updates))
         assert walked == list(recursive_walk(symbols, 6, root, updates))
         assert len(walked) == sum(len(symbols) ** n for n in range(7))
@@ -146,7 +136,8 @@ def test_walk_holds_one_path_of_pending_states(symbols, max_len):
             return child
 
     peak = 0
-    for _ in _walk(symbols, max_len, State(_identity(len(symbols) + 1)), _program(symbols)):
+    root, updates = suffix_table(symbols)
+    for _ in _walk(symbols, max_len, State(root), updates):
         peak = max(peak, len(live))
     assert peak <= max_len * (len(symbols) - 1) + 1
     assert (peak > 0) == (max_len > 0)
@@ -159,12 +150,12 @@ def linear_verdicts(alphabet, max_length):
     return [case is None for case in itertools.islice(cases, linear)]
 
 
-def relabeled_count_updates(table):
-    """`_count_updates` of the patterns with `table` applied: a wrong count
-    table whenever `table` maps a symbol to another."""
+def relabeled_table(table):
+    """`_table` of the patterns with `table` applied: a wrong count table
+    whenever `table` maps a symbol to another."""
 
     def stand_in(patterns):
-        return _count_updates([pattern.translate(table) for pattern in patterns])
+        return _table([pattern.translate(table) for pattern in patterns])
 
     return stand_in
 
@@ -174,9 +165,9 @@ def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel)
     # With `relabel` applied to the patterns whose DPs are counted, on both
     # sides, but not to the letters whose counts are multiplied, the identity
     # fails for some words: both verdicts.
-    relabeled = relabeled_count_updates(str.maketrans(relabel))
-    monkeypatch.setattr(enumeration, "_count_updates", relabeled)
-    monkeypatch.setattr(words, "_count_updates", relabeled)
+    relabeled = relabeled_table(str.maketrans(relabel))
+    monkeypatch.setattr(enumeration, "_table", relabeled)
+    monkeypatch.setattr(words, "_table", relabeled)
     oracle = [permutation_identity_check(ABC, w) for w in words_up_to(ABC.symbols, 7)]
     assert linear_verdicts(ABC, 7) == oracle
     assert set(oracle) == ({True} if not relabel else {True, False})
@@ -191,15 +182,20 @@ def factor_counts(word, pattern):
     ]
 
 
-def rows_of(flat, d):
-    return [flat[i : i + d] for i in range(0, d * d, d)]
+def upper(rows):
+    """Each row but the last, from its diagonal on, one after another: the
+    DPs of the suffixes of the pattern."""
+    return [e for i, row in enumerate(rows[:-1]) for e in row[i:]]
+
+
+def suffix_table(pattern):
+    return _table([pattern[i:] for i in range(len(pattern))])
 
 
 def read(pattern, word):
-    d = len(pattern) + 1
-    flat = _identity(d)
-    _read(flat, _program(pattern), word)
-    return rows_of(flat, d)
+    flat, updates = suffix_table(pattern)
+    _read(flat, updates, word)
+    return flat
 
 
 # A one-letter ladder, and symbols that would need escaping in source.
@@ -217,9 +213,9 @@ def test_read_ladder_rows_count_factors(spec, max_n):
     for w in words_up_to(alphabet.symbols, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
-        walked = [e for row in _parikh_rows(alphabet, w[:-1]) for e in row]
-        _read(walked, _program(ladder), w[-1:])
-        assert rows_of(walked, alphabet.size + 1) == rows, w
+        walked = upper(_parikh_rows(alphabet, w[:-1]))
+        _read(walked, suffix_table(ladder)[1], w[-1:])
+        assert walked == upper(rows), w
 
 
 @st.composite
@@ -241,14 +237,14 @@ texts = st.text(alphabet="abcd", max_size=12)
 
 @hypothesis.given(patterns, texts)
 def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
-    assert read(pattern, word) == factor_counts(word, pattern)
+    assert read(pattern, word) == upper(factor_counts(word, pattern))
 
 
 @hypothesis.given(patterns, texts, texts)
 def test_reading_w_then_u_is_reading_wu(pattern, w, u):
-    flat = [e for row in read(pattern, w) for e in row]
-    _read(flat, _program(pattern), u)
-    assert rows_of(flat, len(pattern) + 1) == read(pattern, w + u)
+    flat = read(pattern, w)
+    _read(flat, suffix_table(pattern)[1], u)
+    assert flat == read(pattern, w + u)
 
 
 def always_holds(factors):
@@ -277,8 +273,9 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
 @hypothesis.given(st.text(alphabet="abc", max_size=30))
 def test_extended_counts_match_count(word):
     patterns = ["".join(p) for p in itertools.permutations("abc")]
-    flat = [1, 0, 0, 0] * len(patterns)
-    _read(flat, _count_updates(patterns), word)
+    flat, updates = _table(patterns)
+    assert flat == [1, 0, 0, 0] * len(patterns)
+    _read(flat, updates, word)
     assert flat[3::4] == [reference_count(word, p) for p in patterns]
 
 
@@ -306,7 +303,7 @@ def test_identity_checks_report_the_identity_of_their_counts(monkeypatch, symbol
     # not in the letter counts, each identity fails on some words; each
     # verdict is the identity of those counts taken by `reference_count`.
     table = str.maketrans({symbols[-1]: symbols[0]} if perturbed else {})
-    monkeypatch.setattr(words, "_count_updates", relabeled_count_updates(table))
+    monkeypatch.setattr(words, "_table", relabeled_table(table))
     alphabet = Alphabet(symbols)
 
     def count(word, pattern):
@@ -390,9 +387,9 @@ def test_product_identity_walk_counts_every_permutation_prefix(monkeypatch):
 def test_product_identity_compiles_one_table_per_alphabet(monkeypatch):
     # The walk's permutation DPs are compiled once per alphabet, not per step.
     compiled = []
-    stand_in = counting(compiled, _count_updates)
+    stand_in = counting(compiled, _table)
     for module in (words, enumeration):
-        monkeypatch.setattr(module, "_count_updates", stand_in)
+        monkeypatch.setattr(module, "_table", stand_in)
     assert enumeration.run_suite("product-identity").passed
     assert compiled == [
         (["".join(p) for p in itertools.permutations(symbols)],) for symbols in ("ab", "abc")
@@ -465,7 +462,7 @@ def test_product_identity_counts_no_word_from_scratch(monkeypatch):
 
 
 def test_linear_rules_reads_only_the_root_from_scratch(monkeypatch):
-    # The root is the identity; every other word's rows are its parent's with
+    # The root is λ's rows; every other word's rows are its parent's with
     # one letter read, at each of the walk's (3^(n+1) - 3) / 2 steps to n <= 8.
     read_calls = []
     monkeypatch.setattr(enumeration, "_read", counting(read_calls, _read))
@@ -490,14 +487,14 @@ def test_linear_rules_walk_holds_each_words_parikh_rows(monkeypatch, spec):
     assert all(case is None for case in enumeration._suite("linear-rules").cases(alphabet, max_length=5))
     assert [w for w, _ in walked] == list(words_up_to(alphabet.symbols, 5))
     for w, flat in walked:
-        assert rows_of(flat, 4) == factor_counts(w, "".join(alphabet.symbols)), w
+        assert flat == upper(factor_counts(w, "".join(alphabet.symbols))), w
 
 
 def test_ladder_calls_compile_nothing(monkeypatch):
     compiled = []
-    stand_in = counting(compiled, words._program)
+    stand_in = counting(compiled, _table)
     for module in (words, enumeration):
-        monkeypatch.setattr(module, "_program", stand_in)
+        monkeypatch.setattr(module, "_table", stand_in)
     assert enumeration.run_suite("power").passed
     enumeration.partition_by_matrix(ABC, 7)
     _parikh_rows(ABC, "abcabca")
@@ -505,17 +502,22 @@ def test_ladder_calls_compile_nothing(monkeypatch):
     avg_count(canonicalize(binary, "aab"), "ab")
     product_identity_check(canonicalize(binary, "aab"))
     assert compiled == []
-    # The stand-in sees a compile: the table of the `linear-rules` walk.
+    # The stand-in sees a compile: the table of the `linear-rules` walk, of
+    # the ladder's suffixes.
     assert not any(enumeration._suite("linear-rules").cases(Alphabet("bca"), max_length=2))
-    assert compiled == [("bca",)]
+    assert compiled == [(["bca", "ca", "a"],)]
 
 
 @pytest.mark.parametrize(
-    "extra", [lambda w: w + "a", lambda w: "d" + w[1:]], ids=["longer", "foreign-letter"]
+    "extra",
+    [lambda w: w + "a", lambda w: w[:-1] or "ab", lambda w: "d" + w[1:]],
+    ids=["longer", "shorter", "foreign-letter"],
 )
 def test_linear_rules_fails_a_result_outside_the_level(monkeypatch, extra):
     # Each word gets one more result that is no word of its length: every
-    # word fails once, and the suite raises nothing.
+    # word fails once, and the suite raises nothing.  A word one letter
+    # shorter than an odd length splits into two halves that both have a
+    # rank, so only its length tells it apart.
     apply_e1 = enumeration.apply_e1
     monkeypatch.setattr(enumeration, "apply_e1", lambda a, w: apply_e1(a, w) | {extra(w)})
     word_count = sum(3**n for n in range(5))
