@@ -297,10 +297,9 @@ def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
     Entry (i, j+1) equals avg_count of the ladder subword a_i ... a_j;
     entries are exact rationals.
     """
-    n = max(cw.length, 1)
-    # The kernel's sums are n times a unitriangular matrix: no re-validation.
-    sums = _ladder_sums(cw)
-    return UnitriangularMatrix._trusted(tuple(tuple(Fraction(e, n) for e in row) for row in sums))
+    return UnitriangularMatrix._from_sums(
+        _rotation_sums(cw.canonical, cw.alphabet), max(cw.length, 1)
+    )
 
 
 def _ladder_sums(cw: CircularWord) -> tuple:
@@ -315,9 +314,7 @@ def binary_closed_form(na: int, nb: int) -> UnitriangularMatrix:
     counts (na, nb): top row (1, na, na*nb/2), middle row (0, 1, nb)."""
     if na < 0 or nb < 0:
         raise ValueError("letter counts must be non-negative")
-    return UnitriangularMatrix(
-        [[1, na, Fraction(na * nb, 2)], [0, 1, nb], [0, 0, 1]]
-    )
+    return UnitriangularMatrix._from_sums(((2, 2 * na, na * nb), (0, 2, 2 * nb), (0, 0, 2)), 2)
 
 
 def m_equivalent(cw1: CircularWord, cw2: CircularWord) -> bool:

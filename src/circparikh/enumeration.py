@@ -29,7 +29,7 @@ from .circular import (
     canonicalize,
     slender_partition_check,
 )
-from .matrices import _tri_mul
+from .matrices import _rational_text, _tri_mul
 from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
 from .words import Alphabet, _read, _table, mirror, parikh_vector
 
@@ -140,8 +140,8 @@ def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
     a group are M-equivalent, members of different groups are not.
 
     The key is `UnitriangularMatrix.key` of the circular Parikh matrix,
-    formatted from the strictly-upper ladder sums over max(n, 1), each
-    distinct sum once."""
+    formatted from the strictly-upper ladder sums over max(n, 1) by the
+    matrix's `_rational_text`, each distinct sum once."""
     scale = max(n, 1)
     texts = {}
 
@@ -149,7 +149,7 @@ def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
         upper = [e for i, row in enumerate(sums) for e in row[i + 1 :]]
         for e in upper:
             if e not in texts:
-                texts[e] = str(Fraction(e, scale))
+                texts[e] = _rational_text(e, scale)
         return ",".join(map(texts.__getitem__, upper))
 
     classes = _necklace_classes(alphabet, n)

@@ -296,7 +296,7 @@ def parikh_matrix(alphabet: Alphabet, word: str) -> UnitriangularMatrix:
     The map is a morphism: the matrix of a concatenation is the product of
     the factors' matrices.  The second diagonal is the Parikh vector.
     """
-    return UnitriangularMatrix(_parikh_rows(alphabet, word))
+    return UnitriangularMatrix._from_sums(_parikh_rows(alphabet, word), 1)
 
 
 def project(alphabet: Alphabet, word: str, keep) -> str:

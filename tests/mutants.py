@@ -39,6 +39,7 @@ CIRCULAR = "src/circparikh/circular.py"
 REWRITING = "src/circparikh/rewriting.py"
 WORDS = "src/circparikh/words.py"
 ENUMERATION = "src/circparikh/enumeration.py"
+MATRICES = "src/circparikh/matrices.py"
 WORDS_TESTS = "tests/test_words.py::"
 ROTATION = "tests/test_rotation_kernel.py::"
 RECORDS = "tests/test_records.py::"
@@ -47,6 +48,10 @@ SHARING = "tests/test_suite_sharing.py::"
 E1_ORACLE = "tests/test_rewriting.py::TestE1AgainstOracle::"
 SWAPS = "tests/test_single_pass.py::"
 SWAP_ORACLE = SWAPS + "test_swap_results_match_oracle_exhaustively"
+INTEGER = "tests/test_integer_paths.py::"
+MATRIX_TESTS = "tests/test_matrices.py::"
+ALGEBRA_ORACLE = INTEGER + "test_integer_algebra_matches_fraction_oracle"
+ROUTES = INTEGER + "test_matrices_built_by_every_route_are_equal"
 # The line of the kernel generator that adds a summed entry's change.
 SUM_LINE = '''f"            {a} {op}= m{f} * weight"'''
 
@@ -467,7 +472,7 @@ MUTANTS = [
     ),
     Mutant(
         "the triangular product drops its last term off the diagonal",
-        "src/circparikh/matrices.py",
+        MATRICES,
         "for k in range(i, j + 1))",
         "for k in range(i, max(j, i + 1)))",
         (
@@ -629,6 +634,86 @@ MUTANTS = [
         "        for rule in rules\n",
         "        for rule in rules\n        for canonical in [_swap_results(cw)]\n",
         ("tests/test_rewriting.py::test_rules_listing_builds_one_certificate",),
+    ),
+    Mutant(
+        "matrices are stored unreduced",
+        MATRICES,
+        "        if g != 1:\n            q //= g",
+        "        if False:\n            q //= g",
+        (ALGEBRA_ORACLE, ROUTES),
+    ),
+    Mutant(
+        "a rational prints its numerator alone",
+        MATRICES,
+        'else f"{e // g}/{q // g}"',
+        "else str(e // g)",
+        (MATRIX_TESTS + "test_key_examples", ALGEBRA_ORACLE),
+    ),
+    Mutant(
+        "the circular matrix is built over denominator 1",
+        CIRCULAR,
+        "        _rotation_sums(cw.canonical, cw.alphabet), max(cw.length, 1)\n",
+        "        _rotation_sums(cw.canonical, cw.alphabet), 1\n",
+        ("tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts", ROUTES),
+    ),
+    Mutant(
+        "a product keeps the left denominator alone",
+        MATRICES,
+        "self._q * other._q)",
+        "self._q)",
+        (ALGEBRA_ORACLE, MATRIX_TESTS + "test_square_of_binary_circular_matrix"),
+    ),
+    Mutant(
+        "the inverse is scaled one power of q short",
+        MATRICES,
+        "top = q ** (d - 1)",
+        "top = q ** (d - 2)",
+        (ALGEBRA_ORACLE, MATRIX_TESTS + "test_inverse_of_circular_ternary_example"),
+    ),
+    Mutant(
+        "rows read the integers back over denominator 1",
+        MATRICES,
+        "Fraction(e, q) for e in row",
+        "Fraction(e) for e in row",
+        (ALGEBRA_ORACLE, "tests/test_acceptance.py::test_criterion_1_golden_examples"),
+    ),
+    Mutant(
+        "rows are rebuilt on every read",
+        MATRICES,
+        "            _set_rows(self, rows)\n",
+        "            pass\n",
+        (MATRIX_TESTS + "test_rows_are_built_once",),
+    ),
+    Mutant(
+        "attributes can be assigned",
+        MATRICES,
+        "    def __setattr__(self, name, value):\n        raise",
+        "    def __setattr__(self, name, value):\n        return object.__setattr__(self, name, value)\n        raise",
+        (MATRIX_TESTS + "test_matrix_attributes_are_read_only[_sums]",),
+    ),
+    Mutant(
+        "rational literals match a prefix",
+        MATRICES,
+        "_RATIONAL_RE.fullmatch(text)",
+        "_RATIONAL_RE.match(text)",
+        (MATRIX_TESTS + "test_parse_rational", MATRIX_TESTS + "test_from_json_rejects_garbage"),
+    ),
+    Mutant(
+        "rational literals take any Unicode digit",
+        MATRICES,
+        'r"[+-]?[0-9]+(?:/[0-9]+)?"',
+        'r"[+-]?\\d+(?:/\\d+)?"',
+        (MATRIX_TESTS + "test_parse_rational", MATRIX_TESTS + "test_from_json_rejects_garbage"),
+    ),
+    Mutant(
+        "class keys print the sums unscaled",
+        ENUMERATION,
+        "texts[e] = _rational_text(e, scale)",
+        "texts[e] = _rational_text(e, 1)",
+        (
+            INTEGER + "test_integer_class_keys_match_matrix_keys[a,b-8]",
+            "tests/test_golden.py::test_transcript_matches_golden[classes-abc-text]",
+        ),
     ),
 ]
 

@@ -5,13 +5,15 @@ The oracles are the code these paths replaced: necklaces found by running
 closed-form identities taken on `Fraction` matrices, the permutation-sum
 identity on `Fraction` averages and on one kernel call per permutation,
 class keys formatted per necklace, and the minor scan over every square
-minor with a Leibniz determinant.  The public matrix algebra, itself plain
-`Fraction` arithmetic, and the integer triangular product are checked entry
-by entry.
+minor with a Leibniz determinant.  The public matrix algebra, which holds
+integers over one denominator, its text forms and the integer triangular
+product are checked entry by entry against plain `Fraction` arithmetic and
+`str(Fraction)`.
 """
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from circparikh import (
     circular_parikh_matrix,
     enumerate_necklaces,
     mirror_class,
+    parikh_matrix,
     partition_by_matrix,
     product_identity_check,
     search_negative_minor,
@@ -180,9 +183,34 @@ def inverse_oracle(rows):
     return inv
 
 
+def alternate_oracle(rows):
+    return [[e if (i + j) % 2 == 0 else -e for j, e in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def texts_oracle(rows):
+    return [[str(e) for e in row] for row in rows]
+
+
+def pretty_oracle(rows):
+    cells = texts_oracle(rows)
+    widths = [max(len(row[j]) for row in cells) for j in range(len(rows))]
+    return "\n".join(" ".join(c.rjust(widths[j]) for j, c in enumerate(row)) for row in cells)
+
+
+def assert_canonical(matrix):
+    """Integer rows over one positive denominator, in lowest terms, that
+    read back as the matrix's Fraction rows."""
+    sums, q = matrix._sums, matrix._q
+    assert type(q) is int and q > 0
+    assert all(type(e) is int for row in sums for e in row)
+    assert math.gcd(q, *itertools.chain.from_iterable(sums)) == 1
+    assert [[Fraction(e, q) for e in row] for row in sums] == [list(r) for r in matrix.rows]
+
+
 def assert_rows(matrix, expected):
     assert [list(row) for row in matrix.rows] == expected
     assert all(type(e) is Fraction for row in matrix.rows for e in row)
+    assert_canonical(matrix)
 
 
 # Mixed denominators, integer entries among them.
@@ -201,13 +229,64 @@ def matrix_pairs(draw):
     return one(), one()
 
 
+def assert_text_forms(matrix):
+    """key, pretty, to_json and repr print `str(Fraction)` of each entry,
+    and to_json reads back as an equal matrix with an equal hash."""
+    rows = matrix.rows
+    d = len(rows)
+    assert matrix.key() == ",".join(str(rows[i][j]) for i in range(d) for j in range(i + 1, d))
+    assert matrix.pretty() == pretty_oracle(rows)
+    text = matrix.to_json()
+    assert text == json.dumps({"dim": d, "entries": texts_oracle(rows)}, sort_keys=True)
+    assert repr(matrix) == f"UnitriangularMatrix({texts_oracle(rows)})"
+    again = UnitriangularMatrix.from_json(text)
+    assert again == matrix and hash(again) == hash(matrix) and again.to_json() == text
+    assert_canonical(again)
+
+
 @hypothesis.given(matrix_pairs(), st.integers(0, 6))
 def test_integer_algebra_matches_fraction_oracle(pair, p):
     a, b = pair
     rows_a, rows_b = [list(r) for r in a.rows], [list(r) for r in b.rows]
-    assert_rows(a * b, mul_oracle(rows_a, rows_b))
+    product = a * b
+    assert_rows(product, mul_oracle(rows_a, rows_b))
     assert_rows(a**p, pow_oracle(rows_a, p))
     assert_rows(a.inverse(), inverse_oracle(rows_a))
+    assert_rows(a.alternate(), alternate_oracle(rows_a))
+    for matrix in (a, b, product):
+        assert_canonical(matrix)
+        assert_text_forms(matrix)
+
+
+def ladder_oracle(word, ladder):
+    """Entry (i, j) counts the factor ladder[i:j] of the ladder as a
+    scattered subword of `word`, position tuple by position tuple."""
+    d = len(ladder) + 1
+
+    def count(pattern):
+        return sum(
+            all(word[p] == x for p, x in zip(positions, pattern))
+            for positions in itertools.combinations(range(len(word)), len(pattern))
+        )
+
+    return [[count(ladder[i:j]) if j >= i else 0 for j in range(d)] for i in range(d)]
+
+
+@hypothesis.given(st.sampled_from(["ab", "cab", "abcd"]), st.data())
+def test_matrices_built_by_every_route_are_equal(spec, data):
+    alphabet = Alphabet(spec)
+    word = data.draw(st.text(alphabet=spec, max_size=8))
+    n, d = max(len(word), 1), len(spec) + 1
+    total = [ladder_oracle(word[k:] + word[:k], spec) for k in range(n)]
+    circular_rows = [[Fraction(sum(t[i][j] for t in total), n) for j in range(d)] for i in range(d)]
+    for matrix, rows in (
+        (parikh_matrix(alphabet, word), ladder_oracle(word, spec)),
+        (circular_parikh_matrix(canonicalize(alphabet, word)), circular_rows),
+    ):
+        assert_canonical(matrix)
+        for again in (UnitriangularMatrix(rows), UnitriangularMatrix.from_json(matrix.to_json())):
+            assert again == matrix and hash(again) == hash(matrix)
+            assert_canonical(again)
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -257,6 +259,9 @@ def test_from_json_rejects_garbage():
         UnitriangularMatrix.from_json('{"dim": 3, "entries": [["1"]]}')
     with pytest.raises(ValueError, match="zero denominator"):
         UnitriangularMatrix.from_json('{"dim": 2, "entries": [["1", "1/0"], ["0", "1"]]}')
+    for entry in ("3\\n", "\\u0663", " 3"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            UnitriangularMatrix.from_json('{"dim": 2, "entries": [["1", "%s"], ["0", "1"]]}' % entry)
 
 
 @pytest.mark.parametrize(
@@ -317,9 +322,35 @@ def test_construction_accepts_exact_entries(entry, value):
 def test_parse_rational():
     assert parse_rational("3/6") == F(1, 2)
     assert parse_rational("-4") == -4
-    for bad in ("1.5", "a", "1/2/3", "", "3/0"):
+    # "3\n" once passed a `$` anchor, and "\u0663" (ARABIC-INDIC DIGIT
+    # THREE) a `\d`; Fraction itself accepts both.
+    for bad in ("1.5", "a", "1/2/3", "", "3/0", "3\n", "\u0663", " 3", "3/\u0664"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("name", ["rows", "dim", "_sums", "_q", "_rows", "other"])
+def test_matrix_attributes_are_read_only(name):
+    matrix = UnitriangularMatrix([[1, 2], [0, 1]])
+    table = {matrix: "found"}
+    with pytest.raises(AttributeError):
+        setattr(matrix, name, ((1, 5), (0, 1)))
+    with pytest.raises(AttributeError):
+        delattr(matrix, name)
+    assert matrix.rows == ((1, 2), (0, 1)) and matrix.dim == 2
+    assert table.get(UnitriangularMatrix([[1, 2], [0, 1]])) == "found"
+
+
+def test_rows_are_built_once():
+    matrix = circular_parikh_matrix(canonicalize(ABC, "cabacb"))
+    assert matrix.rows is matrix.rows
+
+
+def test_copies_and_pickles_are_equal():
+    for matrix in SAMPLE_DIM4:
+        for again in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
+            assert again == matrix and hash(again) == hash(matrix)
+            assert again.to_json() == matrix.to_json() and again.rows == matrix.rows
 
 
 def test_exactness_no_floats():
