@@ -31,7 +31,7 @@ from .circular import (
 )
 from .matrices import _rational_text, _tri_mul
 from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
-from .words import Alphabet, _read, _table, mirror, parikh_vector
+from .words import Alphabet, _counter, _read, _table, mirror, parikh_vector
 
 _AB = Alphabet("ab")
 _ABC = Alphabet("abc")
@@ -179,16 +179,17 @@ class SuiteResult:
         return self.failure_count == 0
 
 
-def _walk(symbols, max_len: int, root, updates):
+def _walk(symbols, max_len: int, root: int, masks: dict, width: int):
     """(w, state of w) for every word w up to max_len, by length and then in
-    `itertools.product` order, where `root` is the flat DP state of λ and
-    the state of w·x is a copy of that of w with x read by `_read` through
-    `updates`.  Depth-first to each length in turn through the prefix tree,
-    on an explicit stack: a word's children are pushed last letter first,
-    so the first pops next.  The stack holds the pending siblings of one
-    root-to-leaf path, never a whole level: with a word of length n just
-    yielded, at most n (|Σ| - 1) + 1 states besides the root.  Over two or
-    more letters it takes about |Σ| / (|Σ| - 1) steps per word."""
+    `itertools.product` order, where `root` is the packed `_table` state of
+    λ, built for words up to max_len, and the state of w·x is that of w with
+    x read by `_read`.  Depth-first to each length in turn through the
+    prefix tree, on an explicit stack: a word's children are pushed last
+    letter first, so the first pops next.  The stack holds the pending
+    siblings of one root-to-leaf path, never a whole level: with a word of
+    length n just yielded, at most n (|Σ| - 1) + 1 states besides the root.
+    Over two or more letters it takes about |Σ| / (|Σ| - 1) steps per
+    word."""
     backward = tuple(reversed(symbols))
     for n in range(max_len + 1):
         stack = [("", root)]
@@ -198,9 +199,7 @@ def _walk(symbols, max_len: int, root, updates):
                 yield word, state
                 continue
             for x in backward:
-                child = state.copy()
-                _read(child, updates, x)
-                stack.append((word + x, child))
+                stack.append((word + x, _read(state, masks, width, x)))
 
 
 def _ladder_sums_by_word(alphabet: Alphabet):
@@ -283,14 +282,15 @@ def _necklace_checks(check, message, alphabet, max_length):
 
 def _product_identity(alphabet, max_length):
     """The subword counts of the s! permutation words sum to the letter-count
-    product: linearly with one flat DP step per word, then per necklace
+    product: linearly with one packed DP step per word, then per necklace
     with the alphabet's `_coverings`, built once, handed to
     `circular._product_identity_holds`, read at call time."""
     symbols = alphabet.symbols
-    d = len(symbols) + 1
     patterns = ["".join(p) for p in itertools.permutations(symbols)]
-    for w, flat in _walk(symbols, max_length, *_table(patterns)):
-        ok = sum(flat[d - 1 :: d]) == math.prod(w.count(s) for s in symbols)
+    root, masks, width = _table(patterns, max_length)
+    counts = _counter(patterns, width)
+    for w, state in _walk(symbols, max_length, root, masks, width):
+        ok = sum(counts(state)) == math.prod(w.count(s) for s in symbols)
         yield None if ok else f"w={_label(w)}: linear permutation-sum identity fails"
     coverings = _coverings(alphabet)
     yield from _necklace_checks(
@@ -320,17 +320,18 @@ def _ce_iff(rule, alphabet, max_split):
 def _linear_rules(alphabet, max_length):
     """Each E1/E2 result w2 of w has the linear Parikh rows of w.  The walk
     holds the subword DPs of the ladder's suffixes, each row of M_v from its
-    diagonal on (`_table`), so equal states are equal matrices.  It gives
-    those of every word of one length n, in base-|Σ| rank order, before any
-    is checked; they are kept in that order, without the words.  A w2 = u·v
-    of length n, |u| = n // 2, is looked up at rank rank(u) |Σ|^|v| +
-    rank(v); any other w2 fails.  Equal rows are one shared tuple."""
+    diagonal on, packed into one integer (`_table`), so equal states are
+    equal matrices.  It gives those of every word of one length n, in
+    base-|Σ| rank order, before any is checked; they are kept in that
+    order, without the words.  A w2 = u·v of length n, |u| = n // 2, is
+    looked up at rank rank(u) |Σ|^|v| + rank(v); any other w2 fails.
+    Equal states are one shared integer."""
     symbols = alphabet.symbols
     ladder = "".join(symbols)
-    walk = _walk(symbols, max_length, *_table([ladder[i:] for i in range(len(ladder))]))
-    for n, level in itertools.groupby(walk, lambda item: len(item[0])):
+    table = _table([ladder[i:] for i in range(len(ladder))], max_length)
+    for n, level in itertools.groupby(_walk(symbols, max_length, *table), lambda item: len(item[0])):
         distinct = {}
-        rows = [distinct.setdefault(r, r) for r in (tuple(flat) for _, flat in level)]
+        rows = [distinct.setdefault(state, state) for _, state in level]
         half = n // 2
         ranks = {
             "".join(t): r

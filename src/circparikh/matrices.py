@@ -12,8 +12,8 @@ q = 1 and a circular one divides |w|, as the circular matrix is the sum
 of the |w| rotations' linear matrices over |w|.  Products run on the
 integer rows, (A/p)(B/q) = AB/(pq), through the one generated triangular
 product `_tri_mul`; the text forms print each entry from its integer
-through `_rational_text`.  Entries are read as `fractions.Fraction` only
-through `rows`, built on its first read.
+through `_rational_text`, built on the first print and kept.  Entries are
+read as `fractions.Fraction` only through `rows`, built on its first read.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class UnitriangularMatrix:
     the entries back as tuples of Fractions.  Assigning or deleting any
     attribute raises AttributeError."""
 
-    __slots__ = ("_sums", "_q", "_rows")
+    __slots__ = ("_sums", "_q", "_rows", "_cells")
 
     def __new__(cls, rows):
         rows = tuple(tuple(map(_entry, row)) for row in rows)
@@ -151,6 +151,7 @@ class UnitriangularMatrix:
         _set_sums(matrix, tuple(map(tuple, sums)))
         _set_q(matrix, q)
         _set_rows(matrix, None)
+        _set_cells(matrix, None)
         return matrix
 
     @classmethod
@@ -227,12 +228,18 @@ class UnitriangularMatrix:
         return self._from_sums(_alternating(self._sums), self._q)
 
     def _texts(self) -> list:
-        """The entries' texts, row by row: "1" on the diagonal, "0" below."""
-        q = self._q
-        return [
-            ["0"] * i + ["1"] + [_rational_text(e, q) for e in row[i + 1 :]]
-            for i, row in enumerate(self._sums)
-        ]
+        """The entries' texts, row by row: "1" on the diagonal, "0" below.
+        Built on the first call and kept, as `rows` is, so a matrix printed
+        both as text and as JSON builds them once; no caller mutates them."""
+        cells = self._cells
+        if cells is None:
+            q = self._q
+            cells = [
+                ["0"] * i + ["1"] + [_rational_text(e, q) for e in row[i + 1 :]]
+                for i, row in enumerate(self._sums)
+            ]
+            _set_cells(self, cells)
+        return cells
 
     def key(self) -> str:
         """Canonical text key: strictly-upper entries, row-major, comma-joined.
@@ -290,3 +297,4 @@ class UnitriangularMatrix:
 _set_sums = UnitriangularMatrix._sums.__set__
 _set_q = UnitriangularMatrix._q.__set__
 _set_rows = UnitriangularMatrix._rows.__set__
+_set_cells = UnitriangularMatrix._cells.__set__

@@ -131,36 +131,51 @@ def mirror(word: str) -> str:
     return word[::-1]
 
 
-def _table(patterns) -> tuple:
-    """The subword-count DPs of `patterns` held one after another on one
-    flat list, a block of |pattern| + 1 entries each, whose entry j counts
-    the placements of pattern[:j]: (root, updates), where root is the list
-    for λ, a block [1, 0, ..., 0] per pattern, and updates maps each letter
-    x to the (target, source) pairs that advance them all, j into j + 1 at
-    each position j that holds x, in descending order so that `_read` reads
-    entry j before the same letter has advanced it.  For the suffixes
-    v[i:] of a pattern v, block i is row i of M_v from its diagonal on, as
-    entry (i, j) of M_v(w) counts the factor v[i:j] in w."""
-    root, updates = [], {}
+def _table(patterns, max_len: int) -> tuple:
+    """The subword-count DPs of `patterns`, for words of length at most
+    `max_len`, packed into one integer: (root, masks, width).
+
+    Each pattern has a block of |pattern| + 1 lanes, one after another
+    from the low end, and lane j of a block counts the placements of
+    pattern[:j] in the word read so far.  Each lane is `width` bits wide,
+    the bit length of C(max_len, min(m, max_len // 2)) for the longest
+    pattern length m: no count of a prefix of length j <= m in a word of
+    length <= max_len exceeds it, so a lane never carries into the next.
+    root is the state of λ, 1 in lane 0 of each block, and masks maps
+    each letter x to the lanes j < |pattern| whose position holds x.  A
+    letter x advances every such j into j + 1 at once, `state += (state &
+    masks[x]) << width` (`_read`): all of them read lane j as it was
+    before x, as the textbook DP's update in descending j does.  A block's
+    last lane is in no mask, so nothing crosses into the next block.  For
+    the suffixes v[i:] of a pattern v, block i is row i of M_v from its
+    diagonal on, as entry (i, j) of M_v(w) counts the factor v[i:j] in w."""
+    m = max(map(len, patterns), default=0)
+    width = math.comb(max_len, min(m, max_len // 2)).bit_length()
+    full = (1 << width) - 1
+    root, masks, lane = 0, {}, 0
     for pattern in patterns:
-        offset = len(root)
-        for j in range(len(pattern) - 1, -1, -1):
-            updates.setdefault(pattern[j], []).append((offset + j + 1, offset + j))
-        root += [1] + [0] * len(pattern)
-    return root, updates
+        root |= 1 << lane * width
+        for x in pattern:
+            masks[x] = masks.get(x, 0) | full << lane * width
+            lane += 1
+        lane += 1
+    return root, masks, width
+
+
+def _counter(patterns, width: int):
+    """The function from a `_table` state of `patterns` to the count of each
+    pattern: the last lane of each pattern's block."""
+    full = (1 << width) - 1
+    ends = [(end - 1) * width for end in itertools.accumulate(len(p) + 1 for p in patterns)]
+    return lambda state: [state >> end & full for end in ends]
 
 
 def _count(word: str, *patterns: str) -> list:
     """Occurrences of each of `patterns` as a scattered subword of `word`:
-    one read of their `_table`, where a letter costs O(1) plus one step per
-    position that holds it, not O(m) per pattern."""
-    dp, updates = _table(patterns)
-    _read(dp, updates, word)
-    counts, end = [], -1
-    for pattern in patterns:
-        end += len(pattern) + 1
-        counts.append(dp[end])
-    return counts
+    one read of their `_table`, O(1) integer operations per letter on a
+    state of sum(|p| + 1) lanes, whatever the number of patterns."""
+    state, masks, width = _table(patterns, len(word))
+    return _counter(patterns, width)(_read(state, masks, width, word))
 
 
 def count_subword(word: str, pattern: str, alphabet: Alphabet | None = None) -> int:
@@ -269,13 +284,13 @@ def _kernel_source(m: int, entries: tuple | None) -> str:
     return "\n".join(src) + "\n"
 
 
-def _read(flat: list, updates: dict, word: str) -> None:
-    """Read `word` into the flat DP list `flat` in place: each letter adds
-    entry s into entry t for each of its (t, s) pairs in `updates`, a
-    `_table`'s."""
-    for ch in word:
-        for t, s in updates.get(ch, ()):
-            flat[t] += flat[s]
+def _read(state: int, masks: dict, width: int, word: str) -> int:
+    """The `_table` state `state` with `word` read: each letter x adds the
+    lanes of `masks[x]` into the lanes one above them."""
+    get = masks.get
+    for x in word:
+        state += (state & get(x, 0)) << width
+    return state
 
 
 def _parikh_rows(alphabet: Alphabet, word: str):

@@ -45,6 +45,7 @@ ROTATION = "tests/test_rotation_kernel.py::"
 RECORDS = "tests/test_records.py::"
 LADDER_KERNEL = "tests/test_ladder_kernel.py::"
 SHARING = "tests/test_suite_sharing.py::"
+PACKED = "tests/test_packed_count.py::"
 E1_ORACLE = "tests/test_rewriting.py::TestE1AgainstOracle::"
 SWAPS = "tests/test_single_pass.py::"
 SWAP_ORACLE = SWAPS + "test_swap_results_match_oracle_exhaustively"
@@ -225,20 +226,53 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the count table advances its positions in ascending order",
+        "the lanes are one bit narrower than the largest count",
         WORDS,
-        "for j in range(len(pattern) - 1, -1, -1):",
-        "for j in range(len(pattern)):",
+        "width = math.comb(max_len, min(m, max_len // 2)).bit_length()",
+        "width = math.comb(max_len, min(m, max_len // 2)).bit_length() - 1",
+        (PACKED + "test_lanes_hold_their_bound_without_carrying",),
+    ),
+    Mutant(
+        "a mask covers a block's last lane",
+        WORDS,
+        "            lane += 1\n        lane += 1\n",
+        "            lane += 1\n"
+        "        masks[pattern[-1:]] = masks.get(pattern[-1:], 0) | full << lane * width\n"
+        "        lane += 1\n",
         (
-            SHARING + "test_read_counts_factors_of_repeated_letter_patterns",
+            PACKED + "test_count_matches_brute_force_exhaustively[ab]",
             SHARING + "test_count_matches_reference_count_pattern_by_pattern",
         ),
     ),
     Mutant(
+        "a letter shifts its lanes one bit short of the next lane",
+        WORDS,
+        "state += (state & get(x, 0)) << width",
+        "state += (state & get(x, 0)) << width - 1",
+        (PACKED + "test_lanes_hold_their_bound_without_carrying",),
+    ),
+    Mutant(
+        "the reader skips the last letter",
+        WORDS,
+        "    for x in word:\n        state +=",
+        "    for x in word[:-1]:\n        state +=",
+        (
+            SHARING + "test_read_ladder_rows_count_factors[a,b,c-7]",
+            PACKED + "test_count_matches_brute_force_exhaustively[ab]",
+        ),
+    ),
+    Mutant(
+        "linear-rules sizes its lanes for half the length",
+        ENUMERATION,
+        "for i in range(len(ladder))], max_length)",
+        "for i in range(len(ladder))], max_length // 2)",
+        (SHARING + "test_linear_rules_walk_holds_each_words_parikh_rows[a,b,c]",),
+    ),
+    Mutant(
         "_count reads each block one entry early",
         WORDS,
-        "end += len(pattern) + 1",
-        "end += len(pattern)",
+        "(end - 1) * width",
+        "(end - 2) * width",
         (
             SHARING + "test_count_matches_reference_count_pattern_by_pattern",
             WORDS_TESTS + "TestCountSubword::test_paper_examples",
@@ -247,8 +281,8 @@ MUTANTS = [
     Mutant(
         "_count reads the last block for every pattern",
         WORDS,
-        "counts.append(dp[end])",
-        "counts.append(dp[-1])",
+        "[state >> end & full for end in ends]",
+        "[state >> ends[-1] & full for end in ends]",
         (SHARING + "test_count_matches_reference_count_pattern_by_pattern",),
     ),
     Mutant(
@@ -491,23 +525,6 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the walk reads a child into its parent's state",
-        ENUMERATION,
-        "child = state.copy()",
-        "child = state",
-        (SHARING + "test_walk_matches_the_recursive_walk[abc]", SHARING + "test_walk_yields_words_up_to_order[ab]"),
-    ),
-    Mutant(
-        "the reader skips the last letter",
-        WORDS,
-        "    for ch in word:\n        for t, s in updates",
-        "    for ch in word[:-1]:\n        for t, s in updates",
-        (
-            SHARING + "test_read_ladder_rows_count_factors[a,b,c-7]",
-            SHARING + "test_count_matches_reference_count_pattern_by_pattern",
-        ),
-    ),
-    Mutant(
         "the walk pushes a word's children first letter first",
         ENUMERATION,
         "tuple(reversed(symbols))",
@@ -676,6 +693,13 @@ MUTANTS = [
         "Fraction(e, q) for e in row",
         "Fraction(e) for e in row",
         (ALGEBRA_ORACLE, "tests/test_acceptance.py::test_criterion_1_golden_examples"),
+    ),
+    Mutant(
+        "texts are rebuilt on every print",
+        MATRICES,
+        "            _set_cells(self, cells)\n",
+        "            pass\n",
+        (MATRIX_TESTS + "test_texts_are_built_once",),
     ),
     Mutant(
         "rows are rebuilt on every read",

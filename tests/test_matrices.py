@@ -13,9 +13,11 @@ from circparikh import (
     canonicalize,
     circular_parikh_matrix,
     enumerate_necklaces,
+    matrices,
     parikh_matrix,
     parse_rational,
 )
+from circparikh.matrices import _rational_text
 
 ABC = Alphabet("abc")
 F = Fraction
@@ -329,7 +331,7 @@ def test_parse_rational():
             parse_rational(bad)
 
 
-@pytest.mark.parametrize("name", ["rows", "dim", "_sums", "_q", "_rows", "other"])
+@pytest.mark.parametrize("name", ["rows", "dim", "_sums", "_q", "_rows", "_cells", "other"])
 def test_matrix_attributes_are_read_only(name):
     matrix = UnitriangularMatrix([[1, 2], [0, 1]])
     table = {matrix: "found"}
@@ -344,6 +346,22 @@ def test_matrix_attributes_are_read_only(name):
 def test_rows_are_built_once():
     matrix = circular_parikh_matrix(canonicalize(ABC, "cabacb"))
     assert matrix.rows is matrix.rows
+
+
+def test_texts_are_built_once(monkeypatch):
+    # Printed as text, as JSON and as its repr, a 4 x 4 matrix prints each
+    # of its 6 strictly upper entries once.
+    matrix = circular_parikh_matrix(canonicalize(ABC, "cabacb"))
+    printed = []
+
+    def counting(e, q):
+        printed.append(e)
+        return _rational_text(e, q)
+
+    monkeypatch.setattr(matrices, "_rational_text", counting)
+    texts = matrix.pretty(), matrix.to_json(), repr(matrix)
+    assert (matrix.pretty(), matrix.to_json(), repr(matrix)) == texts
+    assert len(printed) == 6
 
 
 def test_copies_and_pickles_are_equal():

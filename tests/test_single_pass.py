@@ -145,9 +145,9 @@ def test_slender_representatives_hit_each_rotation_class_once(monkeypatch, symbo
     # they are the s! permutations, each once: so each rotation class once.
     tables = []
 
-    def recording(patterns):
+    def recording(patterns, max_len):
         tables.append(list(patterns))
-        return _table(patterns)
+        return _table(patterns, max_len)
 
     monkeypatch.setattr(words, "_table", recording)
     circular.slender_partition_check(canonicalize(Alphabet(symbols), symbols))

@@ -15,7 +15,8 @@ The walk's stack is checked against `recursive_walk` below, the
 recursive generators it replaced, word by word and state by state, and
 for how many states it holds.
 The one count table `words._table` and its reader `words._read`, behind
-`_count` and both walks, are checked entry by entry against
+`_count` and both walks, hold every DP in one packed integer; their
+lanes, unpacked by `lanes` below, are checked entry by entry against
 `reference_count`, a textbook DP that shares no code with them: the
 suffixes of a pattern v, repeated letters included, against the factor
 counts of M_v, and for composition: reading w, then u, is reading w·u.
@@ -32,7 +33,6 @@ per alphabet, the ladder's suffixes for `linear-rules`.
 
 import itertools
 import math
-import weakref
 
 import pytest
 
@@ -71,6 +71,18 @@ def words_up_to(symbols, max_len):
             yield "".join(tup)
 
 
+def lanes(state, width, count):
+    """The `count` lanes of a packed `_table` state, low end first; no bit
+    is set above them."""
+    assert 0 <= state < 1 << count * width
+    return [state >> i * width & ((1 << width) - 1) for i in range(count)]
+
+
+def packed(entries, width):
+    """The packed state whose lanes are `entries`, low end first."""
+    return sum(e << i * width for i, e in enumerate(entries))
+
+
 def reference_count(word, pattern):
     """|word|_pattern by the textbook DP: dp[j] counts the placements of
     pattern[:j] in the prefix read so far, and each letter advances every
@@ -87,12 +99,14 @@ def reference_count(word, pattern):
 def test_walk_yields_words_up_to_order(symbols):
     # With one single-letter DP per symbol as the state, each state holds the
     # letter counts of the path that led to it.
-    walked = list(_walk(symbols, 6, *_table(symbols)))
+    root, masks, width = _table(symbols, 6)
+    walked = list(_walk(symbols, 6, root, masks, width))
     assert [w for w, _ in walked] == list(words_up_to(symbols, 6))
-    assert all(state[1::2] == [w.count(s) for s in symbols] for w, state in walked)
+    counts = [w.count(s) for w, _ in walked for s in symbols]
+    assert [e for _, state in walked for e in lanes(state, width, 2 * len(symbols))[1::2]] == counts
 
 
-def recursive_walk(symbols, max_len, root, updates):
+def recursive_walk(symbols, max_len, root, masks, width):
     """The walk as recursive generators, each word passed up through one
     `yield from` per letter: the oracle of `_walk`'s order and states."""
 
@@ -101,9 +115,7 @@ def recursive_walk(symbols, max_len, root, updates):
             yield word, state
             return
         for x in symbols:
-            child = state.copy()
-            _read(child, updates, x)
-            yield from below(word + x, child, depth - 1)
+            yield from below(word + x, _read(state, masks, width, x), depth - 1)
 
     for n in range(max_len + 1):
         yield from below("", root, n)
@@ -114,30 +126,31 @@ def test_walk_matches_the_recursive_walk(symbols):
     # The ladder's suffix DPs of `linear-rules` and the permutation DPs of
     # `product-identity`, word by word and state by state.
     permutations = ["".join(p) for p in itertools.permutations(symbols)]
-    for root, updates in (suffix_table(symbols), _table(permutations)):
-        walked = list(_walk(tuple(symbols), 6, root, updates))
-        assert walked == list(recursive_walk(symbols, 6, root, updates))
+    for table in (suffix_table(symbols, 6), _table(permutations, 6)):
+        walked = list(_walk(tuple(symbols), 6, *table))
+        assert walked == list(recursive_walk(symbols, 6, *table))
         assert len(walked) == sum(len(symbols) ** n for n in range(7))
 
 
 @pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
 @pytest.mark.parametrize("max_len", [0, 1, 6])
-def test_walk_holds_one_path_of_pending_states(symbols, max_len):
-    # Each state the walk copies is tracked while it lives: whenever a word
+def test_walk_holds_one_path_of_pending_states(monkeypatch, symbols, max_len):
+    # Each state the walk reads is tracked while it lives: whenever a word
     # is yielded, at most max_len (|Σ| - 1) + 1 of them are alive besides
     # the root, the pending siblings along one root-to-leaf path.
-    live = []  # one token per copy not yet freed
+    live = []  # one token per state read and not yet freed
 
-    class State(list):
-        def copy(self):
-            child = State(self)
-            live.append(None)
-            weakref.finalize(child, live.pop)
-            return child
+    class State(int):
+        def __del__(self):
+            live.pop()
 
+    def tracked(*args):
+        live.append(None)
+        return State(_read(*args))
+
+    monkeypatch.setattr(enumeration, "_read", tracked)
     peak = 0
-    root, updates = suffix_table(symbols)
-    for _ in _walk(symbols, max_len, State(root), updates):
+    for _ in _walk(symbols, max_len, *suffix_table(symbols, max_len)):
         peak = max(peak, len(live))
     assert peak <= max_len * (len(symbols) - 1) + 1
     assert (peak > 0) == (max_len > 0)
@@ -154,8 +167,8 @@ def relabeled_table(table):
     """`_table` of the patterns with `table` applied: a wrong count table
     whenever `table` maps a symbol to another."""
 
-    def stand_in(patterns):
-        return _table([pattern.translate(table) for pattern in patterns])
+    def stand_in(patterns, max_len):
+        return _table([pattern.translate(table) for pattern in patterns], max_len)
 
     return stand_in
 
@@ -188,14 +201,16 @@ def upper(rows):
     return [e for i, row in enumerate(rows[:-1]) for e in row[i:]]
 
 
-def suffix_table(pattern):
-    return _table([pattern[i:] for i in range(len(pattern))])
+def suffix_table(pattern, max_len):
+    return _table([pattern[i:] for i in range(len(pattern))], max_len)
 
 
-def read(pattern, word):
-    flat, updates = suffix_table(pattern)
-    _read(flat, updates, word)
-    return flat
+def read(pattern, word, max_len=None):
+    """The suffix DPs of `pattern` after `word`, from a table built for
+    words up to `max_len` (|word| by default), unpacked."""
+    root, masks, width = suffix_table(pattern, len(word) if max_len is None else max_len)
+    d = len(pattern) + 1
+    return lanes(_read(root, masks, width, word), width, d * (d + 1) // 2 - 1)
 
 
 # A one-letter ladder, and symbols that would need escaping in source.
@@ -210,12 +225,12 @@ def test_read_ladder_rows_count_factors(spec, max_n):
     # `linear-rules` walk step.
     alphabet = Alphabet.parse(spec)
     ladder = "".join(alphabet.symbols)
+    _, masks, width = suffix_table(ladder, max_n)
     for w in words_up_to(alphabet.symbols, max_n):
         rows = _parikh_rows(alphabet, w)
         assert rows == factor_counts(w, ladder), w
-        walked = upper(_parikh_rows(alphabet, w[:-1]))
-        _read(walked, suffix_table(ladder)[1], w[-1:])
-        assert walked == upper(rows), w
+        walked = _read(packed(upper(_parikh_rows(alphabet, w[:-1])), width), masks, width, w[-1:])
+        assert lanes(walked, width, len(upper(rows))) == upper(rows), w
 
 
 @st.composite
@@ -242,9 +257,9 @@ def test_read_counts_factors_of_repeated_letter_patterns(pattern, word):
 
 @hypothesis.given(patterns, texts, texts)
 def test_reading_w_then_u_is_reading_wu(pattern, w, u):
-    flat = read(pattern, w)
-    _read(flat, suffix_table(pattern)[1], u)
-    assert flat == read(pattern, w + u)
+    root, masks, width = suffix_table(pattern, len(w + u))
+    assert _read(_read(root, masks, width, w), masks, width, u) == _read(root, masks, width, w + u)
+    assert read(pattern, w, len(w + u)) == read(pattern, w)
 
 
 def always_holds(factors):
@@ -273,10 +288,10 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
 @hypothesis.given(st.text(alphabet="abc", max_size=30))
 def test_extended_counts_match_count(word):
     patterns = ["".join(p) for p in itertools.permutations("abc")]
-    flat, updates = _table(patterns)
-    assert flat == [1, 0, 0, 0] * len(patterns)
-    _read(flat, updates, word)
-    assert flat[3::4] == [reference_count(word, p) for p in patterns]
+    root, masks, width = _table(patterns, len(word))
+    assert lanes(root, width, 24) == [1, 0, 0, 0] * len(patterns)
+    state = _read(root, masks, width, word)
+    assert lanes(state, width, 24)[3::4] == [reference_count(word, p) for p in patterns]
 
 
 count_patterns = st.lists(
@@ -363,15 +378,16 @@ def test_each_count_reads_the_word_once(monkeypatch, call):
     read_calls = []
     monkeypatch.setattr(words, "_read", counting(read_calls, _read))
     call()
-    assert [word for _, _, word in read_calls] == ["abacbc"]
+    assert [args[-1] for args in read_calls] == ["abacbc"]
 
 
 def test_product_identity_walk_counts_every_permutation_prefix(monkeypatch):
     # Entry j of a permutation's block, at every word the walk of the linear
     # half yields, counts the permutation's first j letters in that word.
-    walked = []
+    walked, widths = [], []
 
     def recording(*args):
+        widths.append(args[-1])
         for item in _walk(*args):
             walked.append(item)
             yield item
@@ -380,8 +396,9 @@ def test_product_identity_walk_counts_every_permutation_prefix(monkeypatch):
     assert all(linear_verdicts(ABC, 7))
     patterns = ["".join(p) for p in itertools.permutations("abc")]
     assert [w for w, _ in walked] == list(words_up_to("abc", 7))
-    for w, flat in walked:
-        assert flat == [reference_count(w, p[:j]) for p in patterns for j in range(4)], w
+    (width,) = widths
+    for w, state in walked:
+        assert lanes(state, width, 24) == [reference_count(w, p[:j]) for p in patterns for j in range(4)], w
 
 
 def test_product_identity_compiles_one_table_per_alphabet(monkeypatch):
@@ -392,7 +409,7 @@ def test_product_identity_compiles_one_table_per_alphabet(monkeypatch):
         monkeypatch.setattr(module, "_table", stand_in)
     assert enumeration.run_suite("product-identity").passed
     assert compiled == [
-        (["".join(p) for p in itertools.permutations(symbols)],) for symbols in ("ab", "abc")
+        (["".join(p) for p in itertools.permutations(symbols)], 8) for symbols in ("ab", "abc")
     ]
 
 
@@ -467,7 +484,7 @@ def test_linear_rules_reads_only_the_root_from_scratch(monkeypatch):
     read_calls = []
     monkeypatch.setattr(enumeration, "_read", counting(read_calls, _read))
     assert enumeration.run_suite("linear-rules").passed
-    assert {len(word) for _, _, word in read_calls} == {1}
+    assert {len(args[-1]) for args in read_calls} == {1}
     assert len(read_calls) == sum((3 ** (n + 1) - 3) // 2 for n in range(9))
 
 
@@ -475,9 +492,10 @@ def test_linear_rules_reads_only_the_root_from_scratch(monkeypatch):
 def test_linear_rules_walk_holds_each_words_parikh_rows(monkeypatch, spec):
     # The suite passes on any rows the rules preserve, the mirrored
     # ladder's included: the walk's state of each word is its own rows.
-    walked = []
+    walked, widths = [], []
 
     def recording(*args):
+        widths.append(args[-1])
         for item in _walk(*args):
             walked.append(item)
             yield item
@@ -486,8 +504,9 @@ def test_linear_rules_walk_holds_each_words_parikh_rows(monkeypatch, spec):
     alphabet = Alphabet.parse(spec)
     assert all(case is None for case in enumeration._suite("linear-rules").cases(alphabet, max_length=5))
     assert [w for w, _ in walked] == list(words_up_to(alphabet.symbols, 5))
-    for w, flat in walked:
-        assert flat == upper(factor_counts(w, "".join(alphabet.symbols))), w
+    (width,) = widths
+    for w, state in walked:
+        assert lanes(state, width, 9) == upper(factor_counts(w, "".join(alphabet.symbols))), w
 
 
 def test_ladder_calls_compile_nothing(monkeypatch):
@@ -505,7 +524,7 @@ def test_ladder_calls_compile_nothing(monkeypatch):
     # The stand-in sees a compile: the table of the `linear-rules` walk, of
     # the ladder's suffixes.
     assert not any(enumeration._suite("linear-rules").cases(Alphabet("bca"), max_length=2))
-    assert compiled == [(["bca", "ca", "a"],)]
+    assert compiled == [(["bca", "ca", "a"], 2)]
 
 
 @pytest.mark.parametrize(
