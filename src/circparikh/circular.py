@@ -251,12 +251,12 @@ def direct_count(cw: CircularWord, pattern: str) -> int:
     return sum(_count(cw.canonical, *conjugacy_class(pattern)))
 
 
-def _rotation_sums(word: str, alphabet: Alphabet, shifts: int | None = None) -> list:
-    """Integer rows whose (i, j) entry sums the count of the ladder factor
-    a_{i+1} ... a_j of `alphabet` over the first `shifts` <= |word| cyclic
-    shifts of `word` (all of them by default, and for λ its one rotation,
-    λ, whose matrix is the identity; a ValueError for a count outside
-    0..|word|), conjugated around the word by the ladder's
+def _rotation_sums(word: str, alphabet: Alphabet, shifts: int | None = None) -> tuple:
+    """Integer tuple rows whose (i, j) entry sums the count of the ladder
+    factor a_{i+1} ... a_j of `alphabet` over the first `shifts` <= |word|
+    cyclic shifts of `word` (all of them by default, and for λ its one
+    rotation, λ, whose matrix is the identity; a ValueError for a count
+    outside 0..|word|), conjugated around the word by the ladder's
     `_rotation_kernel`, generated once per alphabet size; over one shift
     it is `_parikh_rows`.
     """
@@ -306,7 +306,7 @@ def _ladder_sums(cw: CircularWord) -> tuple:
     """The rotation sums of the ladder a_1 ... a_s, hashable: |w| times the
     circular Parikh matrix.  Equal sums iff equal matrices, since each fixes
     |w| (diagonal / superdiagonal total)."""
-    return tuple(map(tuple, _rotation_sums(cw.canonical, cw.alphabet)))
+    return _rotation_sums(cw.canonical, cw.alphabet)
 
 
 def binary_closed_form(na: int, nb: int) -> UnitriangularMatrix:

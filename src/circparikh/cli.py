@@ -38,13 +38,9 @@ _MAX_SPLIT = 8
 _MAX_POWER = 16
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -123,7 +119,7 @@ def _cmd_count(args) -> int:
     word, bracketed = _strip_brackets(args.word)
     if args.mode == "linear":
         if bracketed:
-            raise _UsageError("linear mode takes a plain word, not a bracketed one")
+            raise ValueError("linear mode takes a plain word, not a bracketed one")
         print(count_subword(word, args.subword, alphabet))
         return 0
     cw = canonicalize(alphabet, word)
@@ -171,13 +167,13 @@ def _format_application(app) -> str:
 def _cmd_rules(args) -> int:
     alphabet = _alphabet(args)
     if alphabet.size != 3:
-        raise _UsageError(f"rules require a ternary alphabet, got {alphabet}")
+        raise ValueError(f"rules require a ternary alphabet, got {alphabet}")
     word, _ = _strip_brackets(args.word)
     cw = canonicalize(alphabet, word)
     if args.max_steps < 1:
-        raise _UsageError(f"max_steps must be at least 1, got {args.max_steps}")
+        raise ValueError(f"max_steps must be at least 1, got {args.max_steps}")
     if args.dot and not args.closure:
-        raise _UsageError("--dot requires --closure")
+        raise ValueError("--dot requires --closure")
     rules = ("CE1", "CE2") if args.rule == "both" else (args.rule,)
     if args.closure:
         graph = rewrite_closure(cw, rules=rules, max_steps=args.max_steps)
@@ -187,7 +183,7 @@ def _cmd_rules(args) -> int:
                 with open(args.dot, "w", encoding="utf-8") as handle:
                     handle.write(dot + "\n")
             except OSError as exc:
-                raise _UsageError(f"cannot write {args.dot}: {exc.strerror}") from None
+                raise ValueError(f"cannot write {args.dot}: {exc.strerror}") from None
             print(
                 f"nodes={len(graph.nodes)} edges={len(graph.edges)} "
                 f"complete={'yes' if graph.complete else 'no'} dot={args.dot}"
@@ -206,9 +202,9 @@ def _cmd_rules(args) -> int:
 def _check_length(command: str, alphabet: Alphabet, length: int) -> None:
     cap = _LENGTH_CAPS.get(alphabet.size)
     if cap is None:
-        raise _UsageError(f"{command} supports alphabets of size <= 4, got {alphabet}")
+        raise ValueError(f"{command} supports alphabets of size <= 4, got {alphabet}")
     if length < 0 or length > cap:
-        raise _UsageError(
+        raise ValueError(
             f"length must be between 0 and {cap} for a size-{alphabet.size} alphabet"
         )
 
@@ -242,7 +238,7 @@ def _cmd_verify(args) -> int:
         ("max_power", args.max_power, _MAX_POWER),
     ):
         if value is not None and value > cap:
-            raise _UsageError(f"{flag} must be at most {cap} for suite {args.suite}, got {value}")
+            raise ValueError(f"{flag} must be at most {cap} for suite {args.suite}, got {value}")
     limits = SuiteLimits(
         max_length=args.max_length,
         max_power=args.max_power,
@@ -295,7 +291,7 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"circparikh: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -17,7 +17,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 
 from . import circular
@@ -29,7 +29,7 @@ from .circular import (
     canonicalize,
     slender_partition_check,
 )
-from .matrices import _rational_text, _tri_mul
+from .matrices import _key, _rational_text, _tri_mul
 from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
 from .words import Alphabet, _counter, _read, _table, mirror, parikh_vector
 
@@ -140,20 +140,13 @@ def partition_by_matrix(alphabet: Alphabet, n: int) -> MEquivClassReport:
     a group are M-equivalent, members of different groups are not.
 
     The key is `UnitriangularMatrix.key` of the circular Parikh matrix,
-    formatted from the strictly-upper ladder sums over max(n, 1) by the
-    matrix's `_rational_text`, each distinct sum once."""
-    scale = max(n, 1)
-    texts = {}
-
-    def key(sums):
-        upper = [e for i, row in enumerate(sums) for e in row[i + 1 :]]
-        for e in upper:
-            if e not in texts:
-                texts[e] = _rational_text(e, scale)
-        return ",".join(map(texts.__getitem__, upper))
-
+    the `matrices._key` of the ladder sums over max(n, 1), with each
+    distinct sum's text built once."""
+    scale, text = max(n, 1), cache(_rational_text)
     classes = _necklace_classes(alphabet, n)
-    return MEquivClassReport(alphabet, n, {key(sums): tuple(v) for sums, v in classes.items()})
+    return MEquivClassReport(
+        alphabet, n, {_key(sums, scale, text): tuple(v) for sums, v in classes.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -323,26 +316,23 @@ def _linear_rules(alphabet, max_length):
     diagonal on, packed into one integer (`_table`), so equal states are
     equal matrices.  It gives those of every word of one length n, in
     base-|Σ| rank order, before any is checked; they are kept in that
-    order, without the words.  A w2 = u·v of length n, |u| = n // 2, is
-    looked up at rank rank(u) |Σ|^|v| + rank(v); any other w2 fails.
-    Equal states are one shared integer."""
-    symbols = alphabet.symbols
+    order, without the words.  A w2 of length n over Σ is looked up at its
+    rank, w2 read as a base-|Σ| numeral with the i-th symbol the digit i;
+    any other w2 fails.  Equal states are one shared integer."""
+    symbols, size = alphabet.symbols, alphabet.size
     ladder = "".join(symbols)
+    digits = {ord(x): str(i) for i, x in enumerate(symbols)}
     table = _table([ladder[i:] for i in range(len(ladder))], max_length)
     for n, level in itertools.groupby(_walk(symbols, max_length, *table), lambda item: len(item[0])):
         distinct = {}
         rows = [distinct.setdefault(state, state) for _, state in level]
-        half = n // 2
-        ranks = {
-            "".join(t): r
-            for k in (half, n - half)
-            for r, t in enumerate(itertools.product(symbols, repeat=k))
-        }
-        scale = alphabet.size ** (n - half)
         for w, own in zip(map("".join, itertools.product(symbols, repeat=n)), rows):
             for w2 in sorted(apply_e1(alphabet, w) | apply_e2(alphabet, w)):
-                u, v = ranks.get(w2[:half]), ranks.get(w2[half:])
-                ok = len(w2) == n and None not in (u, v) and rows[u * scale + v] == own
+                ok = (
+                    len(w2) == n
+                    and not w2.translate(alphabet._foreign)
+                    and rows[int(w2.translate(digits), size)] == own
+                )
                 yield None if ok else f"{w} -> {w2}: linear Parikh matrix changed"
 
 

@@ -57,6 +57,13 @@ def _rational_text(e: int, q: int) -> str:
     return str(e // g) if g == q else f"{e // g}/{q // g}"
 
 
+def _key(sums, q: int, text) -> str:
+    """The class key of the matrix sums / q: its strictly-upper entries,
+    row-major, each as `text(e, q)` gives it (`_rational_text` or a cache
+    of it), comma-joined."""
+    return ",".join([text(e, q) for i, row in enumerate(sums) for e in row[i + 1 :]])
+
+
 def _tri_mul(a, b) -> tuple:
     """Product of two upper triangular matrices given as rows, through the
     straight-line `_tri_kernel` of their dimension, generated on first use.
@@ -242,14 +249,9 @@ class UnitriangularMatrix:
         return cells
 
     def key(self) -> str:
-        """Canonical text key: strictly-upper entries, row-major, comma-joined.
-
-        Two matrices have the same key exactly when they are equal.
-        """
-        q = self._q
-        return ",".join(
-            [_rational_text(e, q) for i, row in enumerate(self._sums) for e in row[i + 1 :]]
-        )
+        """Canonical text key, `_key` of the entries: two matrices have the
+        same key exactly when they are equal."""
+        return _key(self._sums, self._q, _rational_text)
 
     def to_json(self) -> str:
         return _JSON.encode({"dim": self.dim, "entries": self._texts()})

@@ -18,16 +18,8 @@ representative, since a circular word has no distinguished start.  The
 swap pattern is matched in its forward orientation only: the reverse
 application of a rule at one rotation is the forward application at
 another, so the sweep already yields a symmetric (involutive) move set.
-The scan reads the doubled word: `str.find` anchors each rotation at its
-tail and finds its heads, prefix letter counts give both sides of the
-side condition, and only the result is built, so a site costs O(1)
-Python work.  A listing reads most results' canonical forms from w's own
-origin, certified by `circular._swap_results`, and searches the rest for
-their least rotation.  Each swap and its side condition are written once, in
-`_compile_rules`; `ce1_condition` and `ce2_condition` apply them to
-strings.  An alphabet's rule tables (the swaps, E2's opposite factors and
-the scan's letter indicators) are compiled on its first use and kept on
-it, so a rule call or a scanned node compiles nothing.
+Each swap and its side condition are written once, in `_compile_rules`;
+`ce1_condition` and `ce2_condition` apply them to strings.
 """
 
 from __future__ import annotations
@@ -354,16 +346,12 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     closure is finite (length and letter counts are preserved); max_steps
     caps the number of nodes as a guard and must be at least 1.
 
-    Each node's sites come from `_sites` at O(1) Python work per site,
-    read from the rule tables compiled once per alphabet.  Each admitted
-    node registers its rotations in one dict, so a valid site finds its
-    target by one lookup of its linear result, and only a result of a new
-    class is canonicalized: one `canonicalize` per node, none for an
-    invalid site or one over the budget.  A node is expanded once, so a
-    set of its targets per rule keeps one edge per (source, target, rule).
-    (Listings by `find_ce1` and `find_ce2` print every site's result:
-    `circular._swap_results` reads it from w's origin in O(1) where its
-    certificate holds, and canonicalizes it otherwise.)
+    Each admitted node registers its rotations in one dict, so a valid
+    site of `_sites` finds its target by one lookup of its linear result,
+    and only a result of a new class is canonicalized: one `canonicalize`
+    per node, none for an invalid site or one over the budget.  A node is
+    expanded once, so a set of its targets per rule keeps one edge per
+    (source, target, rule).
     """
     _require_ternary(cw.alphabet)
     if max_steps < 1:

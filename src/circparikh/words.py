@@ -200,14 +200,15 @@ def parikh_vector(alphabet: Alphabet, word: str) -> tuple:
 def _rotation_kernel(m: int, entries: tuple | None = None):
     """The rotation kernel of the patterns of length m as one straight-line
     function (word, shifts, *letters) of the pattern's letters.  For the
-    ladder (entries None, distinct letters) it returns the rows of the sum
-    of M_v over the first `shifts` cyclic shifts of the word, what
-    `circular._rotation_sums` returns; one shift gives M_v(word) itself,
-    which `_parikh_rows` reads.  For a pattern it returns the flat
-    `entries` of that sum added up into one integer, each as often as it
-    is listed.  Built from `_kernel_source(m, entries)` on first use and
-    kept for the pair, so a run pays once per pattern length (alphabet
-    size for the ladder) and entries, not per call or per pattern."""
+    ladder (entries None, distinct letters) it returns the rows, as tuples
+    that callers keep as built, of the sum of M_v over the first `shifts`
+    cyclic shifts of the word, what `circular._rotation_sums` returns; one
+    shift gives M_v(word) itself, which `_parikh_rows` reads.  For a
+    pattern it returns the flat `entries` of that sum added up into one
+    integer, each as often as it is listed.  Built from
+    `_kernel_source(m, entries)` on first use and kept for the pair, so a
+    run pays once per pattern length (alphabet size for the ladder) and
+    entries, not per call or per pattern."""
     namespace = {}
     exec(_kernel_source(m, entries), namespace)
     return namespace["kernel"]
@@ -278,7 +279,7 @@ def _kernel_source(m: int, entries: tuple | None) -> str:
             ", ".join("shifts" if j == i else f"s{i * d + j}" if j > i else "0" for j in range(d))
             for i in range(d)
         )
-        src.append(f"    return [{', '.join(f'[{row}]' for row in rows)}]")
+        src.append(f"    return ({''.join(f'({row}), ' for row in rows)})")
     else:
         src.append("    return total")
     return "\n".join(src) + "\n"
@@ -297,9 +298,7 @@ def _parikh_rows(alphabet: Alphabet, word: str):
     """The integer rows of M_v(word) for the ladder v = a_1 ... a_s: the
     rotation sums of the ladder's `_rotation_kernel` over one shift, the
     word itself (the identity for λ).  The first call for an alphabet size
-    generates that size's kernel, as the circular matrix does;
-    `BENCH_pattern-kernel.json` times the generation at s = 4, 26, 100
-    and 150."""
+    generates that size's kernel, as the circular matrix does."""
     alphabet.validate(word)
     return _rotation_kernel(alphabet.size)(word, 1, *alphabet.symbols)
 

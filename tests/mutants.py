@@ -55,6 +55,9 @@ ALGEBRA_ORACLE = INTEGER + "test_integer_algebra_matches_fraction_oracle"
 ROUTES = INTEGER + "test_matrices_built_by_every_route_are_equal"
 # The line of the kernel generator that adds a summed entry's change.
 SUM_LINE = '''f"            {a} {op}= m{f} * weight"'''
+# The two checks that keep a linear-rules result inside its level.
+LENGTH_CHECK = "len(w2) == n\n                    "
+ALPHABET_CHECK = "and not w2.translate(alphabet._foreign)\n                    "
 
 MUTANTS = [
     Mutant(
@@ -66,6 +69,16 @@ MUTANTS = [
             "tests/test_ladder_kernel.py::test_generated_kernel_follows_the_alphabet_not_its_text[c,a,b]",
             "tests/test_rotation_kernel.py::test_ladder_kernel_matches_per_shift_parikh_rows",
             "tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts",
+        ),
+    ),
+    Mutant(
+        "ladder rows are returned as lists",
+        WORDS,
+        """    return ({''.join(f'({row}), ' for row in rows)})""",
+        """    return [{', '.join(f'[{row}]' for row in rows)}]""",
+        (
+            LADDER_KERNEL + "test_generated_kernel_follows_the_alphabet_not_its_text[c,a,b]",
+            "tests/test_rotation_kernel.py::test_ladder_kernel_matches_per_shift_parikh_rows",
         ),
     ),
     Mutant(
@@ -309,23 +322,40 @@ MUTANTS = [
     Mutant(
         "linear-rules looks a result up with its halves swapped",
         ENUMERATION,
-        "rows[u * scale + v]",
-        "rows[v * scale + u]",
+        "rows[int(w2.translate(digits), size)]",
+        "rows[int((w2[n // 2 :] + w2[: n // 2]).translate(digits), size)]",
         (SHARING + "test_linear_rules_reads_only_the_root_from_scratch",),
     ),
     Mutant(
         "linear-rules drops its length and alphabet check",
         ENUMERATION,
-        "len(w2) == n and None not in (u, v) and ",
-        "",
+        LENGTH_CHECK + ALPHABET_CHECK + "and rows[",
+        "rows[",
         (SHARING + "test_linear_rules_fails_a_result_outside_the_level[longer]",),
     ),
     Mutant(
         "linear-rules drops its length check",
         ENUMERATION,
-        "len(w2) == n and ",
-        "",
+        LENGTH_CHECK + ALPHABET_CHECK,
+        ALPHABET_CHECK.removeprefix("and "),
         (SHARING + "test_linear_rules_fails_a_result_outside_the_level[shorter]",),
+    ),
+    Mutant(
+        "linear-rules drops its alphabet check",
+        ENUMERATION,
+        ALPHABET_CHECK,
+        "",
+        tuple(
+            SHARING + f"test_linear_rules_fails_a_result_outside_the_level[{case}]"
+            for case in ("digit", "underscore", "leading-space", "unicode-digit")
+        ),
+    ),
+    Mutant(
+        "linear-rules parses ranks in base |Σ| + 1",
+        ENUMERATION,
+        "int(w2.translate(digits), size)",
+        "int(w2.translate(digits), size + 1)",
+        (SHARING + "test_linear_rules_reads_only_the_root_from_scratch",),
     ),
     Mutant(
         "the linear matrix reads the ladder in code-point order",
@@ -732,8 +762,8 @@ MUTANTS = [
     Mutant(
         "class keys print the sums unscaled",
         ENUMERATION,
-        "texts[e] = _rational_text(e, scale)",
-        "texts[e] = _rational_text(e, 1)",
+        "_key(sums, scale, text)",
+        "_key(sums, 1, text)",
         (
             INTEGER + "test_integer_class_keys_match_matrix_keys[a,b-8]",
             "tests/test_golden.py::test_transcript_matches_golden[classes-abc-text]",

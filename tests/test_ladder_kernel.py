@@ -58,8 +58,8 @@ def parikh(symbols, word):
 
 def shift_sums(symbols, word, last=None, memo=None):
     """The sums of the Parikh matrices of the first t cyclic shifts of
-    `word`, for t = 0, 1, ..., `last` (|word| by default), each shift's
-    matrix counted afresh or found in `memo`."""
+    `word`, for t = 0, 1, ..., `last` (|word| by default), as tuple rows,
+    each shift's matrix counted afresh or found in `memo`."""
     d, memo = len(symbols) + 1, {} if memo is None else memo
     total = [int(not word and i == j) for i in range(d) for j in range(d)]
     out = [total]
@@ -69,7 +69,7 @@ def shift_sums(symbols, word, last=None, memo=None):
             memo[u] = parikh(symbols, u)
         total = list(map(operator.add, total, memo[u]))
         out.append(total)
-    return [[flat[i : i + d] for i in range(0, d * d, d)] for flat in out]
+    return [tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d)) for flat in out]
 
 
 def words_up_to(symbols, max_len):

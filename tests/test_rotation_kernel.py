@@ -47,14 +47,15 @@ def subword_count(word, pattern):
 
 
 def count_oracle(word, pattern, first=None):
-    """Per-shift sums over the first `first` shifts (all of them by default):
-    row i of each shift's matrix counts the prefixes of pattern[i:]."""
+    """Per-shift sums over the first `first` shifts (all of them by default),
+    as tuple rows: row i of each shift's matrix counts the prefixes of
+    pattern[i:]."""
     d = len(pattern) + 1
     sums = [[0] * d for _ in range(d)]
     for u in shifts(word)[:first]:
         for i, row in enumerate(sums):
             row[i:] = map(operator.add, row[i:], prefix_counts(u, pattern[i:]))
-    return sums
+    return tuple(map(tuple, sums))
 
 
 def ladder_oracle(alphabet, word):
@@ -155,7 +156,7 @@ def test_one_period_of_a_power_is_a_pth_of_its_sums(case):
     # rot_{k+|u|}(u^p) = rot_k(u^p): the |u| p shifts repeat the first |u| p times.
     symbols, root, p = case
     period = ladder(symbols, root * p, len(root))
-    assert [[p * e for e in row] for row in period] == count_oracle(root * p, symbols)
+    assert tuple(tuple(p * e for e in row) for row in period) == count_oracle(root * p, symbols)
 
 
 @hypothesis.given(word_and_pattern())
@@ -199,10 +200,10 @@ def test_m_equivalent_exhaustive_small_across_lengths():
 def first_shift_sums(word, pattern):
     """count_oracle(word, pattern, first) for first = 0, 1, ..., |word|."""
     d = len(pattern) + 1
-    out = [[[0] * d for _ in range(d)]]
+    out = [((0,) * d,) * d]
     for u in shifts(word):
         one = count_oracle(u, pattern, 1)
-        out.append([list(map(operator.add, *rows)) for rows in zip(out[-1], one)])
+        out.append(tuple(tuple(map(operator.add, *rows)) for rows in zip(out[-1], one)))
     return out
 
 

@@ -187,12 +187,12 @@ def test_linear_product_identity_matches_permutation_check(monkeypatch, relabel)
 
 
 def factor_counts(word, pattern):
-    """M_v(word) by its defining identity: entry (i, j) counts v[i:j] in
-    the word for i <= j, and is 0 below the diagonal."""
+    """M_v(word) by its defining identity, as tuple rows: entry (i, j)
+    counts v[i:j] in the word for i <= j, and is 0 below the diagonal."""
     d = len(pattern) + 1
-    return [
-        [reference_count(word, pattern[i:j]) if i <= j else 0 for j in range(d)] for i in range(d)
-    ]
+    return tuple(
+        tuple(reference_count(word, pattern[i:j]) if i <= j else 0 for j in range(d)) for i in range(d)
+    )
 
 
 def upper(rows):
@@ -243,7 +243,7 @@ def ladder_words(draw):
 def test_parikh_matrix_counts_factors_on_long_words(case):
     alphabet, word = case
     rows = parikh_matrix(alphabet, word).rows
-    assert list(map(list, rows)) == factor_counts(word, "".join(alphabet.symbols))
+    assert rows == factor_counts(word, "".join(alphabet.symbols))
 
 
 patterns = st.text(alphabet="abc", min_size=1, max_size=6)
@@ -529,14 +529,25 @@ def test_ladder_calls_compile_nothing(monkeypatch):
 
 @pytest.mark.parametrize(
     "extra",
-    [lambda w: w + "a", lambda w: w[:-1] or "ab", lambda w: "d" + w[1:]],
-    ids=["longer", "shorter", "foreign-letter"],
+    [
+        lambda w: w + "a",
+        lambda w: w[:-1] or "ab",
+        lambda w: "d" + w[1:],
+        lambda w: "1" + w[1:],
+        lambda w: w[:1] + "_" + w[2:],
+        lambda w: " " + w[1:],
+        lambda w: "\u0661" + w[1:],
+    ],
+    ids=["longer", "shorter", "foreign-letter", "digit", "underscore", "leading-space", "unicode-digit"],
 )
 def test_linear_rules_fails_a_result_outside_the_level(monkeypatch, extra):
     # Each word gets one more result that is no word of its length: every
     # word fails once, and the suite raises nothing.  A word one letter
-    # shorter than an odd length splits into two halves that both have a
-    # rank, so only its length tells it apart.
+    # shorter than an odd length would rank inside the level, so only its
+    # length tells it apart.  A digit, an underscore between digits, a
+    # leading space and a Unicode digit (ARABIC-INDIC DIGIT ONE) are each
+    # read by `int` as part of a numeral, so only the alphabet check tells
+    # them apart: "1" alone ranks as "b".
     apply_e1 = enumeration.apply_e1
     monkeypatch.setattr(enumeration, "apply_e1", lambda a, w: apply_e1(a, w) | {extra(w)})
     word_count = sum(3**n for n in range(5))
