@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os.path
 from fractions import Fraction
 
 from .matrices import UnitriangularMatrix, _alternating, _tri_mul
@@ -166,83 +165,6 @@ def _least_start(t: str, letters: str) -> int:
     return first + j * lo + sum(map(len, gaps[:j]))
 
 
-def _swap_results(cw: CircularWord):
-    """`canonical(r, x_len, result)`, the canonical form of each rule
-    site's result in [w], built once per canonical word w = cw.canonical.
-
-    A site's result is rotation r of w with two disjoint swaps of distinct
-    adjacent letters, at p = r + x_len and p + 1 and at q = r + n - 2 and
-    q + 1 (mod n).  Read from w's origin, result[n-r:] + result[:n-r] is
-    w with those swaps, and it is returned without a search when this
-    certificate shows it least; any other site's result goes to
-    `_canonical`.  Let a = w[0] be the least letter, L the length of the
-    leading run a^L (a longest run of a, w[n-1] is not a) and S the starts
-    of w's other runs a^L.  For s in S, c_s is the longest common prefix
-    of w and its rotation at s, so w[c_s] < w[s + c_s] (mod n) as w is
-    least; c_s = n means w is periodic, and Z below then holds every
-    position, so no site is certified.
-    The swapped result is least when
-    * no swapped position lies in Z = [0, L) and, for each s in S,
-      [0, c_s] and [s, s + c_s]: it still begins with a^L followed by a
-      larger letter, each s still starts a^L, and its rotation at s
-      compares larger at position c_s, as in w;
-    * each run of a that a swapped a joins stays shorter than L: it has
-      1 + the run of w beside the new a, plus 1 more when the other swap
-      moves an a in from the run's other end (x or y is then a's only).
-    Then no other rotation starts with a^L, and each that starts with a
-    shorter run of a is larger.  Runs an a leaves only shrink.  Nothing
-    but letter equality and the order already in w is read, so an alphabet
-    outside code-point order needs no `translate`.
-    """
-    alphabet, w = cw.alphabet, cw.canonical
-    n = len(w)
-    a = w[:1]
-    L = n - len(w.lstrip(a))
-    d, run = w + w, a * L
-    marks = bytearray(2 * n)  # i is in Z when marks[i] or marks[i + n] is set
-    marks[:L] = b"\1" * L
-    s = w.find(run, L)
-    while s > 0:  # find gives 0 only for λ
-        c = len(os.path.commonprefix([w, d[s : s + n]]))
-        marks[: c + 1] = b"\1" * (c + 1)
-        marks[s : s + c + 1] = b"\1" * (c + 1)
-        s = w.find(run, s + L)
-    zone = [x | y for x, y in zip(marks, marks[n:])]
-    zone += zone[:1]
-    # The a's of w from i on and up to i; no run of a wraps around.
-    ahead, behind = [0] * (n + 1), [0] * (n + 1)
-    for i in range(n):
-        if w[i] == a:
-            behind[i] = behind[i - 1] + 1
-        if w[n - 1 - i] == a:
-            ahead[n - 1 - i] = ahead[n - i] + 1
-    # grow[i]: the length of the run that a swap at (i, i+1) moves an a
-    # into, L if the swap touches Z; meet[i]: the swap that moves a second
-    # a into that run, kept only where it makes the run L long.
-    grow, meet = [0] * n, [-1] * n
-    for i in range(n):
-        if zone[i] or zone[i + 1]:
-            grow[i] = L
-        elif d[i] == a:  # the a moves right, before k a's and the letter at f
-            k = ahead[(i + 2) % n]
-            grow[i], f = 1 + k, (i + 2 + k) % n
-            if k == L - 2 and d[f + 1] == a:
-                meet[i] = f
-        elif d[i + 1] == a:  # the a moves left, after k a's and the letter at f
-            k = behind[i - 1]
-            grow[i], f = 1 + k, (i - 1 - k) % n
-            if k == L - 2 and d[f - 1 + n] == a:
-                meet[i] = (f - 1) % n
-
-    def canonical(r, x_len, result):
-        p, q = (r + x_len) % n, (r - 2) % n
-        if grow[p] < L > grow[q] and meet[p] != q:
-            return CircularWord(alphabet, result[n - r :] + result[: n - r])
-        return _canonical(alphabet, result)
-
-    return canonical
-
-
 def direct_count(cw: CircularWord, pattern: str) -> int:
     """Occurrences of the circular pattern [pattern] in a representative:
     the sum of |w|_u over the distinct rotations u of the pattern, counted
@@ -297,9 +219,7 @@ def circular_parikh_matrix(cw: CircularWord) -> UnitriangularMatrix:
     Entry (i, j+1) equals avg_count of the ladder subword a_i ... a_j;
     entries are exact rationals.
     """
-    return UnitriangularMatrix._from_sums(
-        _rotation_sums(cw.canonical, cw.alphabet), max(cw.length, 1)
-    )
+    return UnitriangularMatrix._from_sums(_ladder_sums(cw), max(cw.length, 1))
 
 
 def _ladder_sums(cw: CircularWord) -> tuple:

@@ -104,10 +104,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _alphabet(args) -> Alphabet:
-    return Alphabet.parse(args.alphabet)
-
-
 def _strip_brackets(word: str):
     if word.startswith("[") and word.endswith("]"):
         return word[1:-1], True
@@ -115,7 +111,7 @@ def _strip_brackets(word: str):
 
 
 def _cmd_count(args) -> int:
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.parse(args.alphabet)
     word, bracketed = _strip_brackets(args.word)
     if args.mode == "linear":
         if bracketed:
@@ -131,7 +127,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.parse(args.alphabet)
     word, bracketed = _strip_brackets(args.word)
     if args.circular or bracketed:
         matrix = circular_parikh_matrix(canonicalize(alphabet, word))
@@ -142,7 +138,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_mequiv(args) -> int:
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.parse(args.alphabet)
     m1 = circular_parikh_matrix(canonicalize(alphabet, _strip_brackets(args.word1)[0]))
     m2 = circular_parikh_matrix(canonicalize(alphabet, _strip_brackets(args.word2)[0]))
     if m1 == m2:
@@ -165,7 +161,7 @@ def _format_application(app) -> str:
 
 
 def _cmd_rules(args) -> int:
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.parse(args.alphabet)
     if alphabet.size != 3:
         raise ValueError(f"rules require a ternary alphabet, got {alphabet}")
     word, _ = _strip_brackets(args.word)
@@ -210,7 +206,7 @@ def _check_length(command: str, alphabet: Alphabet, length: int) -> None:
 
 
 def _cmd_classes(args) -> int:
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.parse(args.alphabet)
     _check_length("classes", alphabet, args.length)
     report = partition_by_matrix(alphabet, args.length)
     if args.format == "json":
@@ -252,15 +248,16 @@ def _cmd_verify(args) -> int:
     if result.failure_count > len(result.failures):
         print(f"... and {result.failure_count - len(result.failures)} more failures")
     status = "PASS" if result.passed else "FAIL"
+    centis = (result.elapsed_us + 5_000) // 10_000  # rounded to hundredths of a second
     print(
         f"{status} checked={result.checked} failures={result.failure_count} "
-        f"elapsed={result.elapsed:.2f}s"
+        f"elapsed={centis // 100}.{centis % 100:02}s"
     )
     return 0 if result.passed else 2
 
 
 def _cmd_search_minor(args) -> int:
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.parse(args.alphabet)
     _check_length("search-minor", alphabet, args.max_length)
     witness = search_negative_minor(alphabet, args.max_length)
     if witness is None:

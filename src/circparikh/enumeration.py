@@ -30,7 +30,7 @@ from .circular import (
     slender_partition_check,
 )
 from .matrices import _key, _rational_text, _tri_mul
-from .rewriting import _counts, _factors, apply_e1, apply_e2, naive_rule_failure_examples
+from .rewriting import _counts, _rules, apply_e1, apply_e2, naive_rule_failure_examples
 from .words import Alphabet, _counter, _read, _table, mirror, parikh_vector
 
 _AB = Alphabet("ab")
@@ -165,7 +165,7 @@ class SuiteResult:
     checked: int
     failures: tuple
     failure_count: int
-    elapsed: float
+    elapsed_us: int
 
     @property
     def passed(self) -> bool:
@@ -297,7 +297,7 @@ def _product_identity(alphabet, max_length):
 def _ce_iff(rule, alphabet, max_split):
     """For each swap x·head·y·tail -> x·tail·y·head of `rule`, the side
     condition holds iff the two circular words are M-equivalent."""
-    factors = _factors(alphabet, rule)
+    factors = _rules(alphabet).factors[rule]
     ladder_sums = _ladder_sums_by_word(alphabet)
     for x, y in _split_pairs(alphabet.symbols, max_split):
         for alpha, head, tail, roles, sides in factors:
@@ -450,20 +450,23 @@ def run_suite(name: str, limits: SuiteLimits | None = None) -> SuiteResult:
         field: default if getattr(limits, field) is None else getattr(limits, field)
         for field, default in suite.defaults.items()
     }
-    start = time.perf_counter()
-    checked, failures = 0, []  # counted, not listed: millions of cases at large bounds
+    cap = limits.failure_cap
+    start = time.perf_counter_ns()
+    # Cases, and failures past the cap, are counted, not kept: a large bound
+    # checks millions of cases.
+    checked, failures, failure_count = 0, [], 0
     for alphabet in suite.alphabets:
         for message in suite.cases(alphabet, **bounds):
             checked += 1
             if message is not None:
-                failures.append(message)
-    elapsed = time.perf_counter() - start
+                failure_count += 1
+                if cap is None or failure_count <= cap:
+                    failures.append(message)
+    elapsed_us = (time.perf_counter_ns() - start) // 1000
     if not checked:
         shown = ", ".join(f"{field}={value}" for field, value in bounds.items())
         raise ValueError(f"suite {name} checks no case at {shown}")
-    return SuiteResult(
-        name, checked, tuple(failures[: limits.failure_cap]), len(failures), elapsed
-    )
+    return SuiteResult(name, checked, tuple(failures), failure_count, elapsed_us)
 
 
 @dataclass(frozen=True)

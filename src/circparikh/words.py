@@ -54,11 +54,9 @@ def _frozen_delattr(self, name):
 class Alphabet:
     """Totally ordered, non-empty set of distinct single-character symbols.
 
-    Besides each symbol's rank it holds the translation tables below and
-    the rewriting rule tables of a ternary alphabet once `rewriting` has
-    compiled them; building one compiles nothing."""
+    Besides each symbol's rank it holds the translation tables below."""
 
-    __slots__ = ("symbols", "_rank", "_foreign", "_sorted", "_to_sorted", "_rules")
+    __slots__ = ("symbols", "_rank", "_foreign", "_sorted", "_to_sorted")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -78,7 +76,6 @@ class Alphabet:
         self._foreign = str.maketrans(dict.fromkeys(syms))
         self._sorted = "".join(sorted(syms))
         self._to_sorted = {ord(s): r for s, r in zip(syms, self._sorted) if s != r}
-        self._rules = None
 
     @classmethod
     def parse(cls, spec: str) -> "Alphabet":

@@ -40,6 +40,7 @@ REWRITING = "src/circparikh/rewriting.py"
 WORDS = "src/circparikh/words.py"
 ENUMERATION = "src/circparikh/enumeration.py"
 MATRICES = "src/circparikh/matrices.py"
+CLI = "src/circparikh/cli.py"
 WORDS_TESTS = "tests/test_words.py::"
 ROTATION = "tests/test_rotation_kernel.py::"
 RECORDS = "tests/test_records.py::"
@@ -461,7 +462,7 @@ MUTANTS = [
     ),
     Mutant(
         "listings validate every site's result",
-        CIRCULAR,
+        REWRITING,
         "        return _canonical(alphabet, result)\n",
         "        return canonicalize(alphabet, result)\n",
         (
@@ -471,28 +472,28 @@ MUTANTS = [
     ),
     Mutant(
         "the certificate's Z leaves the last letter of w's leading run out",
-        CIRCULAR,
+        REWRITING,
         'marks[:L] = b"\\1" * L',
         'marks[: L - 1] = b"\\1" * (L - 1)',
         (SWAPS + "test_swap_results_take_both_paths_on_long_words[abc]", SWAP_ORACLE + "[cab]"),
     ),
     Mutant(
         "the certificate's Z marks [0, c_s - 1], not [0, c_s]",
-        CIRCULAR,
+        REWRITING,
         'marks[: c + 1] = b"\\1" * (c + 1)',
         'marks[:c] = b"\\1" * c',
         (SWAP_ORACLE + "[abc]", SWAP_ORACLE + "[cab]"),
     ),
     Mutant(
         "the certificate's Z marks [s, s + c_s - 1], not [s, s + c_s]",
-        CIRCULAR,
+        REWRITING,
         'marks[s : s + c + 1] = b"\\1" * (c + 1)',
         'marks[s : s + c] = b"\\1" * c',
         (SWAP_ORACLE + "[abc]", SWAPS + "test_swap_results_take_both_paths_on_long_words[cab]"),
     ),
     Mutant(
         "the lcp of a periodic word stops at n - 1",
-        CIRCULAR,
+        REWRITING,
         "commonprefix([w, d[s : s + n]])",
         "commonprefix([w, d[s : s + n - 1]])",
         (),
@@ -501,35 +502,35 @@ MUTANTS = [
     ),
     Mutant(
         "no growth check where an a moves right",
-        CIRCULAR,
+        REWRITING,
         "grow[i], f = 1 + k, (i + 2 + k) % n",
         "grow[i], f = 0, (i + 2 + k) % n",
         (SWAPS + "test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one", SWAP_ORACLE + "[abc]"),
     ),
     Mutant(
         "no growth check where an a moves left",
-        CIRCULAR,
+        REWRITING,
         "grow[i], f = 1 + k, (i - 1 - k) % n",
         "grow[i], f = 0, (i - 1 - k) % n",
         (SWAP_ORACLE + "[abc]", SWAPS + "test_swap_results_take_both_paths_on_long_words[abc]"),
     ),
     Mutant(
         "no check for two swapped a's meeting in one run",
-        CIRCULAR,
+        REWRITING,
         " and meet[p] != q:",
         ":",
         (SWAPS + "test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one", SWAP_ORACLE + "[cab]"),
     ),
     Mutant(
         "a right-moving a meets the swap one letter too far",
-        CIRCULAR,
+        REWRITING,
         "k == L - 2 and d[f + 1] == a",
         "k == L - 2 and d[f + 2] == a",
         (SWAPS + "test_swaps_that_make_a_run_at_least_as_long_as_the_leading_one", SWAP_ORACLE + "[abc]"),
     ),
     Mutant(
         "a left-moving a meets the swap one letter too near",
-        CIRCULAR,
+        REWRITING,
         "meet[i] = (f - 1) % n",
         "meet[i] = f",
         (SWAP_ORACLE + "[abc]", SWAP_ORACLE + "[cab]"),
@@ -671,8 +672,21 @@ MUTANTS = [
     Mutant(
         "rule tables compiled on every call",
         REWRITING,
-        "    rules = alphabet._rules\n",
+        "    rules = _TABLES.get(alphabet.symbols)\n",
         "    rules = None\n",
+        ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
+    ),
+    Mutant(
+        "rule tables keyed by the sorted symbols",
+        REWRITING,
+        """    rules = _TABLES.get(alphabet.symbols)
+    if rules is None:
+        _require_ternary(alphabet)
+        rules = _TABLES[alphabet.symbols] = """,
+        """    rules = _TABLES.get(tuple(sorted(alphabet.symbols)))
+    if rules is None:
+        _require_ternary(alphabet)
+        rules = _TABLES[tuple(sorted(alphabet.symbols))] = """,
         ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
     ),
     Mutant(
@@ -699,8 +713,8 @@ MUTANTS = [
     Mutant(
         "the circular matrix is built over denominator 1",
         CIRCULAR,
-        "        _rotation_sums(cw.canonical, cw.alphabet), max(cw.length, 1)\n",
-        "        _rotation_sums(cw.canonical, cw.alphabet), 1\n",
+        "_from_sums(_ladder_sums(cw), max(cw.length, 1))",
+        "_from_sums(_ladder_sums(cw), 1)",
         ("tests/test_circular.py::TestCircularParikhMatrix::test_entries_are_avg_counts", ROUTES),
     ),
     Mutant(
@@ -767,6 +781,27 @@ MUTANTS = [
         (
             INTEGER + "test_integer_class_keys_match_matrix_keys[a,b-8]",
             "tests/test_golden.py::test_transcript_matches_golden[classes-abc-text]",
+        ),
+    ),
+    Mutant(
+        "run_suite keeps every failure",
+        ENUMERATION,
+        """                if cap is None or failure_count <= cap:
+                    failures.append(message)
+""",
+        """                failures.append(message)
+    failures = failures[:cap]
+""",
+        ("tests/test_enumeration.py::TestSuites::test_failures_past_the_cap_are_counted_not_kept",),
+    ),
+    Mutant(
+        "elapsed printed in whole seconds",
+        CLI,
+        'f"elapsed={centis // 100}.{centis % 100:02}s"',
+        'f"elapsed={result.elapsed_us // 1_000_000}s"',
+        (
+            "tests/test_cli.py::TestVerify::test_pass",
+            "tests/test_cli.py::TestVerify::test_elapsed_is_printed_in_hundredths_of_a_second[1234567-1.23]",
         ),
     ),
 ]

@@ -7,9 +7,17 @@ or function); blank lines, comment lines and docstring lines are not code.
     python tests/source_lines.py [DIR]
 
 prints `raw code name` for each `*.py` file of DIR (`src/circparikh` by
-default), sorted by name, and then the totals.  Standard library only.
+default), sorted by name, and then the totals.
+
+    python tests/source_lines.py [DIR] --against BASE
+
+prints, for each `*.py` file of either directory, BASE's raw and code
+lines, DIR's, and DIR's minus BASE's (a missing file counts 0), and then
+the totals: the net line change of this tree against another checkout,
+as in `--against ../parent/src/circparikh`.  Standard library only.
 """
 
+import argparse
 import ast
 import io
 import sys
@@ -56,15 +64,33 @@ def counts(source: str) -> tuple:
     return len(source.splitlines()), len(code)
 
 
+def tally(root) -> dict:
+    """name -> (raw lines, code lines) for each `*.py` file of root."""
+    return {path.name: counts(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
+
+
+def _line(values, name: str) -> str:
+    """The values in columns of 6, the 5th and 6th (the deltas) signed."""
+    return " ".join([f"{v:+6}" if i >= 4 else f"{v:6}" for i, v in enumerate(values)] + [name])
+
+
 def main(argv) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else PACKAGE
-    total_raw = total_code = 0
-    for path in sorted(root.glob("*.py")):
-        raw, code = counts(path.read_text(encoding="utf-8"))
-        total_raw += raw
-        total_code += code
-        print(f"{raw:6} {code:6} {path.name}")
-    print(f"{total_raw:6} {total_code:6} total")
+    parser = argparse.ArgumentParser(prog="source_lines.py")
+    parser.add_argument("dir", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--against", type=Path, metavar="BASE")
+    args = parser.parse_args(argv[1:])
+    rows = tree = tally(args.dir)
+    if args.against is not None:
+        base = tally(args.against)
+        rows = {}
+        for name in tree.keys() | base.keys():
+            (raw0, code0), (raw, code) = base.get(name, (0, 0)), tree.get(name, (0, 0))
+            rows[name] = raw0, code0, raw, code, raw - raw0, code - code0
+        print(" ".join(f"{word:>6}" for word in ("base", "base", "tree", "tree", "delta", "delta")))
+        print(" ".join(f"{word:>6}" for word in ("raw", "code") * 3), "name")
+    for name in sorted(rows):
+        print(_line(rows[name], name))
+    print(_line([sum(column) for column in zip(*rows.values())], "total"))
     return 0
 
 

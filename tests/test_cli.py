@@ -208,6 +208,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "distinct-count", "--max-length", "6")
         assert code == 0
         assert "PASS" in out and "failures=0" in out
+        assert re.fullmatch(r"PASS checked=7 failures=0 elapsed=\d+\.\d\ds", out.splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "elapsed_us, shown",
+        [(0, "0.00"), (4_999, "0.00"), (5_001, "0.01"), (1_234_567, "1.23"), (61_996_000, "62.00")],
+    )
+    def test_elapsed_is_printed_in_hundredths_of_a_second(self, capsys, monkeypatch, elapsed_us, shown):
+        from circparikh import SuiteResult
+        import circparikh.cli as cli
+
+        monkeypatch.setattr(cli, "run_suite", lambda name, limits: SuiteResult(name, 3, (), 0, elapsed_us))
+        code, out, _ = run(capsys, "verify", "--suite", "power")
+        assert code == 0 and out.splitlines()[-1] == f"PASS checked=3 failures=0 elapsed={shown}s"
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
@@ -227,7 +240,7 @@ class TestVerify:
         import circparikh.cli as cli
 
         def broken(name, limits):
-            return SuiteResult(name, 3, ("w=abc: witness",), 1, 0.0)
+            return SuiteResult(name, 3, ("w=abc: witness",), 1, 0)
 
         monkeypatch.setattr(cli, "run_suite", broken)
         code, out, _ = run(capsys, "verify", "--suite", "power")

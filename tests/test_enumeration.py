@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from circparikh import (
     run_suite,
     search_negative_minor,
 )
+from circparikh import enumeration
 
 ABC = Alphabet("abc")
 AB = Alphabet("ab")
@@ -128,7 +130,7 @@ class TestSuites:
             assert result.passed, f"{name}: {result.failures}"
             assert result.checked > 0
             assert result.failures == ()
-            assert result.elapsed >= 0
+            assert type(result.elapsed_us) is int and result.elapsed_us >= 0
 
     @pytest.mark.parametrize(
         "limits",
@@ -146,6 +148,23 @@ class TestSuites:
     def test_naive_failures_suite(self):
         result = run_suite("naive-failures")
         assert result.passed and result.checked == 6
+
+    def test_failures_past_the_cap_are_counted_not_kept(self, monkeypatch):
+        def cases(alphabet, max_length):
+            return (f"case {i} fails" for i in range(200_000))
+
+        stand_in = enumeration._Suite("every case fails", (AB,), {"max_length": 0}, cases)
+        monkeypatch.setitem(enumeration._SUITES, "stand-in", stand_in)
+        tracemalloc.start()
+        try:
+            result = run_suite("stand-in", SuiteLimits(failure_cap=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.failures == ("case 0 fails", "case 1 fails", "case 2 fails")
+        assert (result.checked, result.failure_count) == (200_000, 200_000)
+        assert peak < 1_000_000
+        assert len(run_suite("stand-in", SuiteLimits(failure_cap=None)).failures) == 200_000
 
     def test_results_are_reproducible(self):
         limits = SuiteLimits(max_length=6)

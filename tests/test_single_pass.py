@@ -293,9 +293,9 @@ def test_long_listings_match_site_oracle(spec):
 def searched(monkeypatch):
     """The results that listings send to the least-rotation search."""
     words_searched = []
-    search = circular._canonical
+    search = rewriting._canonical
     monkeypatch.setattr(
-        circular, "_canonical", lambda alphabet, word: words_searched.append(word) or search(alphabet, word)
+        rewriting, "_canonical", lambda alphabet, word: words_searched.append(word) or search(alphabet, word)
     )
     return words_searched
 
@@ -305,7 +305,7 @@ def site_paths(cw, oracle, searched):
     least rotation; the numbers of sites read from w's origin and searched."""
     origin = searches = 0
     for rule in ("CE1", "CE2"):
-        canonical = circular._swap_results(cw)
+        canonical = rewriting._swap_results(cw)
         for site, result in rewriting._sites(cw, rule):
             before = len(searched)
             got = canonical(site[0], site[1], result)

@@ -41,3 +41,22 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
         "    20      9 b.py",
         "    22     10 total",
     ]
+
+
+def test_against_prints_both_trees_and_the_delta(tmp_path, capsys):
+    base, tree = tmp_path / "base", tmp_path / "tree"
+    base.mkdir()
+    tree.mkdir()
+    (base / "a.py").write_text("x = 1\n\n", encoding="utf-8")
+    (base / "b.py").write_text(MODULE, encoding="utf-8")
+    (tree / "b.py").write_text(MODULE + "y = 2\n", encoding="utf-8")
+    (tree / "c.py").write_text("# A comment.\nz = 3\n", encoding="utf-8")
+    assert source_lines.main(["source_lines.py", str(tree), "--against", str(base)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  base   base   tree   tree  delta  delta",
+        "   raw   code    raw   code    raw   code name",
+        "     2      1      0      0     -2     -1 a.py",
+        "    20      9     21     10     +1     +1 b.py",
+        "     0      0      2      1     +2     +1 c.py",
+        "    22     10     23     11     +1     +1 total",
+    ]

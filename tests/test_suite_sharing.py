@@ -56,7 +56,7 @@ from circparikh import (
 )
 from circparikh.enumeration import _walk
 from circparikh.matrices import _tri_mul
-from circparikh.rewriting import _counts, _factors
+from circparikh.rewriting import _counts, _rules
 from circparikh.words import _parikh_rows, _read, _table, permutation_identity_check
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -262,8 +262,12 @@ def test_reading_w_then_u_is_reading_wu(pattern, w, u):
     assert read(pattern, w, len(w + u)) == read(pattern, w)
 
 
-def always_holds(factors):
-    return [(alpha, head, tail, roles, lambda x, y: (0, 0)) for alpha, head, tail, roles, _ in factors]
+def always_holds(rules):
+    factors = {
+        rule: [(alpha, head, tail, roles, lambda x, y: (0, 0)) for alpha, head, tail, roles, _ in swaps]
+        for rule, swaps in rules.factors.items()
+    }
+    return rules._replace(factors=factors)
 
 
 @pytest.mark.parametrize("rule", ["CE1", "CE2"])
@@ -272,10 +276,10 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
     # With every side condition made to hold, a case holds iff its pair is
     # M-equivalent, so the verdicts are the equivalences: both values.
     if condition_holds:
-        monkeypatch.setattr(enumeration, "_factors", lambda a, r: always_holds(_factors(a, r)))
+        monkeypatch.setattr(enumeration, "_rules", lambda a: always_holds(_rules(a)))
     oracle = []
     for x, y in enumeration._split_pairs(ABC.symbols, 4):
-        for _, head, tail, roles, sides in enumeration._factors(ABC, rule):
+        for _, head, tail, roles, sides in enumeration._rules(ABC).factors[rule]:
             lhs, rhs = sides(_counts(x, roles), _counts(y, roles))
             w, w2 = x + head + y + tail, x + tail + y + head
             equivalent = m_equivalent(canonicalize(ABC, w), canonicalize(ABC, w2))
