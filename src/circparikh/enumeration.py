@@ -297,7 +297,7 @@ def _product_identity(alphabet, max_length):
 def _ce_iff(rule, alphabet, max_split):
     """For each swap x·head·y·tail -> x·tail·y·head of `rule`, the side
     condition holds iff the two circular words are M-equivalent."""
-    factors = _rules(alphabet).factors[rule]
+    factors = _rules(alphabet.symbols).factors[rule]
     ladder_sums = _ladder_sums_by_word(alphabet)
     for x, y in _split_pairs(alphabet.symbols, max_split):
         for alpha, head, tail, roles, sides in factors:

@@ -18,15 +18,17 @@ representative, since a circular word has no distinguished start.  The
 swap pattern is matched in its forward orientation only: the reverse
 application of a rule at one rotation is the forward application at
 another, so the sweep already yields a symmetric (involutive) move set.
-Each swap and its side condition are written once, in `_compile_rules`;
-`ce1_condition` and `ce2_condition` apply them to strings.  The swap
-geometry x·head·y·tail -> x·tail·y·head is known here alone: `_sites`
+Each swap and its side condition are written once, in `_rules`.  The
+swap geometry x·head·y·tail -> x·tail·y·head is spelled here: `_sites`
 finds each site, and beside it `_swap_results`, the listing certificate,
-canonicalizes a site's result from the two swapped positions.
+canonicalizes a site's result from the two swapped positions.  The one
+other reader is `enumeration._ce_iff`, which joins both words of each
+swap in its table to check the condition against M-equivalence.
 """
 
 from __future__ import annotations
 
+import functools
 import os.path
 from collections import deque, namedtuple
 from dataclasses import dataclass
@@ -35,13 +37,6 @@ from itertools import accumulate
 
 from .circular import CircularWord, _canonical, avg_count, canonicalize, conjugacy_class, m_equivalent
 from .words import Alphabet, _record, parikh_vector
-
-
-def _require_ternary(alphabet: Alphabet) -> None:
-    if alphabet.size != 3:
-        raise ValueError(
-            f"rewriting rules require a ternary alphabet, got size {alphabet.size}"
-        )
 
 
 @_record
@@ -68,7 +63,7 @@ class RuleApplication:
 def apply_e1(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one ac <-> ca factor swap, each factor
     found by `str.find`."""
-    e1 = _rules(alphabet).e1
+    e1 = _rules(alphabet.symbols).e1
     alphabet.validate(word)
     out = set()
     for factor, opposite in e1:
@@ -82,7 +77,7 @@ def apply_e1(alphabet: Alphabet, word: str) -> set:
 def apply_e2(alphabet: Alphabet, word: str) -> set:
     """All words reachable from one x·αb·y·bα·z <-> x·bα·y·αb·z swap with
     y restricted to {α, b}, from one scan of the word for both α."""
-    swaps = _rules(alphabet).e2
+    swaps = _rules(alphabet.symbols).e2
     alphabet.validate(word)
     n = len(word)
     out = set()
@@ -99,23 +94,6 @@ def apply_e2(alphabet: Alphabet, word: str) -> set:
             if word[j] == stop:
                 break
     return out
-
-
-def ce1_condition(alphabet: Alphabet, x: str, y: str) -> tuple:
-    """Both sides of the CE1 condition for x·ac·y·ca -> x·ca·y·ac:
-    (|y|_b (|x|_a - |x|_c), |x|_b (|y|_a - |y|_c))."""
-    ((_, _, _, roles, sides),) = _rules(alphabet).factors["CE1"]
-    return sides(_counts(x, roles), _counts(y, roles))
-
-
-def ce2_condition(alphabet: Alphabet, x: str, y: str, alpha: str) -> tuple:
-    """Both sides of the CE2 condition for x·αb·y·bα -> x·bα·y·αb, α in
-    {a, c}: (|x|_ᾱ (|y| + |y|_b + 3), |y|_ᾱ (|x| + |x|_b + 3))."""
-    for swapped, _, _, roles, sides in _rules(alphabet).factors["CE2"]:
-        if alpha == swapped:
-            return sides(_counts(x, roles), _counts(y, roles))
-    a, b, c = alphabet.symbols
-    raise ValueError(f"CE2 swaps {a} or {c} with {b}, got {alpha!r}")
 
 
 def _counts(text: str, roles: tuple) -> tuple:
@@ -141,21 +119,13 @@ def _ce2_sides(x: tuple, y: tuple) -> tuple:
 
 
 _Rules = namedtuple("_Rules", "factors e1 e2 indicators")
-_TABLES = {}  # the symbols of each ternary alphabet in use -> its _Rules
 
 
-def _rules(alphabet: Alphabet) -> _Rules:
-    """The rule tables of a ternary alphabet, compiled on the first use of
-    its symbol order; a ValueError for any other alphabet."""
-    rules = _TABLES.get(alphabet.symbols)
-    if rules is None:
-        _require_ternary(alphabet)
-        rules = _TABLES[alphabet.symbols] = _compile_rules(alphabet.symbols)
-    return rules
-
-
-def _compile_rules(symbols: tuple) -> _Rules:
-    """The rule tables of the ternary alphabet a < b < c of `symbols`:
+@functools.cache
+def _rules(symbols: tuple) -> _Rules:
+    """The rule tables of the ternary alphabet a < b < c of `symbols`,
+    compiled on the first use of the symbol order; a ValueError for an
+    alphabet of any other size:
 
     * factors: "CE1" and "CE2" -> the rule's swaps x·head·y·tail ->
       x·tail·y·head as (α, head, tail, roles, sides), one for CE1 (α None),
@@ -168,6 +138,8 @@ def _compile_rules(symbols: tuple) -> _Rules:
     * indicators: (letter, table) per letter, where `str.translate` by the
       table maps the letter to chr(1) and the others to chr(0).
     """
+    if len(symbols) != 3:
+        raise ValueError(f"rewriting rules require a ternary alphabet, got size {len(symbols)}")
     a, b, c = symbols
     ce1 = ((None, a + c, c + a, (a, b, c), _ce1_sides),)
     ce2 = (
@@ -198,7 +170,7 @@ def _sites(cw: CircularWord, rule: str):
     prefix counts of d, and the result is joined from slices of d: O(n)
     Python work per word plus O(1) per site.
     """
-    rules = _rules(cw.alphabet)
+    rules = _rules(cw.alphabet.symbols)
     w = cw.canonical
     n = len(w)
     d = w + w
@@ -430,7 +402,7 @@ def rewrite_closure(cw: CircularWord, rules=("CE1", "CE2"), max_steps: int = 100
     expanded once, so a set of its targets per rule keeps one edge per
     (source, target, rule).
     """
-    _require_ternary(cw.alphabet)
+    _rules(cw.alphabet.symbols)  # a ValueError unless the alphabet is ternary
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     rules = tuple(dict.fromkeys(rules))  # a repeated rule adds no edge
@@ -474,7 +446,7 @@ def parikh_vector_sufficiency(alphabet: Alphabet, x: str, y: str, alpha: str, be
     """Whether x and y have equal Parikh vectors.  When they do, the swap
     [x·αβ·y·βα] -> [x·βα·y·αβ] preserves M-equivalence for any distinct
     symbols α, β of the ternary alphabet."""
-    _require_ternary(alphabet)
+    _rules(alphabet.symbols)  # a ValueError unless the alphabet is ternary
     if alpha not in alphabet or beta not in alphabet:
         raise ValueError(f"swap symbols must belong to alphabet {alphabet}")
     if alpha == beta:

@@ -59,6 +59,10 @@ SUM_LINE = '''f"            {a} {op}= m{f} * weight"'''
 # The two checks that keep a linear-rules result inside its level.
 LENGTH_CHECK = "len(w2) == n\n                    "
 ALPHABET_CHECK = "and not w2.translate(alphabet._foreign)\n                    "
+# The rule tables' refusal of a non-ternary alphabet.
+TERNARY_RAISE = (
+    '        raise ValueError(f"rewriting rules require a ternary alphabet, got size {len(symbols)}")\n'
+)
 
 MUTANTS = [
     Mutant(
@@ -672,22 +676,33 @@ MUTANTS = [
     Mutant(
         "rule tables compiled on every call",
         REWRITING,
-        "    rules = _TABLES.get(alphabet.symbols)\n",
-        "    rules = None\n",
+        "@functools.cache\ndef _rules(",
+        "@functools.lru_cache(maxsize=0)\ndef _rules(",
         ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
     ),
     Mutant(
         "rule tables keyed by the sorted symbols",
         REWRITING,
-        """    rules = _TABLES.get(alphabet.symbols)
-    if rules is None:
-        _require_ternary(alphabet)
-        rules = _TABLES[alphabet.symbols] = """,
-        """    rules = _TABLES.get(tuple(sorted(alphabet.symbols)))
-    if rules is None:
-        _require_ternary(alphabet)
-        rules = _TABLES[tuple(sorted(alphabet.symbols))] = """,
+        "    rules = _rules(cw.alphabet.symbols)\n",
+        "    rules = _rules(tuple(sorted(cw.alphabet.symbols)))\n",
         ("tests/test_rewriting.py::test_rule_tables_compile_once_per_alphabet",),
+    ),
+    Mutant(
+        "rule tables accept a size-4 alphabet",
+        REWRITING,
+        "    if len(symbols) != 3:\n" + TERNARY_RAISE + "    a, b, c = symbols\n",
+        "    if len(symbols) not in (3, 4):\n" + TERNARY_RAISE + "    a, b, c = symbols[:3]\n",
+        ("tests/test_rewriting.py::TestRuleTheorems::test_conditions_need_ternary[abcd]",),
+    ),
+    Mutant(
+        "CE1's sides are both negated",
+        REWRITING,
+        "    return yb * (xa - xc), xb * (ya - yc)",
+        "    return yb * (xc - xa), xb * (yc - ya)",
+        (
+            "tests/test_rewriting.py::TestClosureAgainstOracle::test_listings_match_oracle",
+            "tests/test_rewriting.py::TestConditionsDefinedOnce::test_conditions_match_the_paper_formulas",
+        ),
     ),
     Mutant(
         "a listing builds the certificate once per rule",

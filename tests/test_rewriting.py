@@ -30,8 +30,6 @@ from circparikh.rewriting import (
     RuleApplication,
     _counts,
     _rules,
-    ce1_condition,
-    ce2_condition,
 )
 
 ABC = Alphabet("abc")
@@ -187,27 +185,24 @@ class TestE1AgainstOracle:
         check()
 
 
-def test_rule_tables_compile_once_per_alphabet(monkeypatch):
+def test_rule_tables_compile_once_per_alphabet():
     # Neither a word of the suite nor a node of the closure nor a site of a
     # listing compiles the rule tables: each symbol order compiles them once,
     # however many `Alphabet` objects spell it.
-    compiled = []
-    compile_rules = rewriting._compile_rules
-    monkeypatch.setattr(rewriting, "_compile_rules", lambda s: compiled.append(s) or compile_rules(s))
-    monkeypatch.setattr(rewriting, "_TABLES", {})
+    _rules.cache_clear()
     abc, cab = tuple("abc"), tuple("cab")
 
     assert enumeration.run_suite("linear-rules").checked > 1000
     graph = rewrite_closure(canonicalize(Alphabet(abc), "a" * 7 + "b" * 8))
     assert graph.complete and len(graph.nodes) > 100
-    assert compiled == [abc]
+    assert _rules.cache_info().misses == 1
 
     sites = 0
     for alphabet in (Alphabet(abc), Alphabet(cab)):
         for word in ("acbca" * 20, "cbabbcba", "abacca"):
             cw = canonicalize(alphabet, word)
             sites += len(find_ce1(cw)) + len(find_ce2(cw))
-    assert sites > 1000 and compiled == [abc, cab]
+    assert sites > 1000 and _rules.cache_info().misses == 2
 
 
 class TestFindCE1:
@@ -378,17 +373,18 @@ class TestRuleTheorems:
                     checked += 1
         assert checked == 1689
 
-    def test_ce2_condition_rejects_b_as_alpha(self):
-        with pytest.raises(ValueError):
-            ce2_condition(ABC, "a", "c", "b")
-
     @pytest.mark.parametrize("symbols", ["ab", "abcd"])
     def test_conditions_need_ternary(self, symbols):
+        alphabet = Alphabet(symbols)
         message = f"rewriting rules require a ternary alphabet, got size {len(symbols)}"
         with pytest.raises(ValueError, match=message):
-            ce1_condition(Alphabet(symbols), "a", "b")
+            find_ce1(canonicalize(alphabet, "ab"))
         with pytest.raises(ValueError, match=message):
-            ce2_condition(Alphabet(symbols), "a", "b", "a")
+            apply_e1(alphabet, "ab")
+        with pytest.raises(ValueError, match=message):
+            rewrite_closure(canonicalize(alphabet, "ab"))
+        with pytest.raises(ValueError, match=message):
+            parikh_vector_sufficiency(alphabet, "a", "b", "a", "b")
 
 
 class TestConditionsDefinedOnce:
@@ -402,34 +398,26 @@ class TestConditionsDefinedOnce:
             st.text("abc", max_size=12),
         )
         def check(symbols, x, y):
-            alphabet = Alphabet(symbols)
             a, b, c = symbols
             ce1 = (
                 y.count(b) * (x.count(a) - x.count(c)),
                 x.count(b) * (y.count(a) - y.count(c)),
             )
-            assert ce1_condition(alphabet, x, y) == ce1
-            for alpha, bar in ((a, c), (c, a)):
-                ce2 = (
+            ce2 = {
+                alpha: (
                     x.count(bar) * (len(y) + y.count(b) + 3),
                     y.count(bar) * (len(x) + x.count(b) + 3),
                 )
-                assert ce2_condition(alphabet, x, y, alpha) == ce2
+                for alpha, bar in ((a, c), (c, a))
+            }
+            factors = _rules(tuple(symbols)).factors
+            ((alpha, _, _, roles, sides),) = factors["CE1"]
+            assert alpha is None and sides(_counts(x, roles), _counts(y, roles)) == ce1
+            assert [alpha for alpha, *_ in factors["CE2"]] == [a, c]
+            for alpha, _, _, roles, sides in factors["CE2"]:
+                assert sides(_counts(x, roles), _counts(y, roles)) == ce2[alpha]
 
         check()
-
-    @pytest.mark.parametrize("word", ["abacca", "cbabbcba", "aaaabbbbb"])
-    def test_scan_does_not_call_the_string_conditions(self, monkeypatch, word):
-        cw = canonicalize(ABC, word)
-        expected = (find_ce1(cw), find_ce2(cw), rewrite_closure(cw))
-        assert expected[0] + expected[1] and expected[2].edges
-
-        def refuse(*args):
-            raise AssertionError("the site scan called a string condition")
-
-        monkeypatch.setattr(rewriting, "ce1_condition", refuse)
-        monkeypatch.setattr(rewriting, "ce2_condition", refuse)
-        assert (find_ce1(cw), find_ce2(cw), rewrite_closure(cw)) == expected
 
 
 class TestNaiveFailures:
@@ -508,21 +496,31 @@ class TestClosure:
 
 
 def sites_oracle(cw, rule):
-    """Every site of `rule` by slicing each rotation at every i, each
-    result canonicalized: the site scan the closure used to run."""
+    """Every site of `rule` by slicing each rotation at every i, with the
+    swaps and both sides of the side condition spelled from the paper's
+    formulas and each result canonicalized: the site scan the closure used
+    to run, sharing no table with the package."""
+    a, b, c = cw.alphabet.symbols
+    swaps = {"CE1": [(None, a + c, c + a)], "CE2": [(a, a + b, b + a), (c, c + b, b + c)]}[rule]
     w = cw.canonical
     n = len(w)
     apps = []
     for r in range(n):
         rot = (w + w)[r : r + n]
-        for alpha, head, tail, roles, sides in _rules(cw.alphabet).factors[rule]:
+        for alpha, head, tail in swaps:
             if rot[-2:] != tail:
                 continue
             for i in range(n - 3):
                 if rot[i : i + 2] != head:
                     continue
                 x, y = rot[:i], rot[i + 2 : n - 2]
-                lhs, rhs = sides(_counts(x, roles), _counts(y, roles))
+                if alpha is None:
+                    lhs = y.count(b) * (x.count(a) - x.count(c))
+                    rhs = x.count(b) * (y.count(a) - y.count(c))
+                else:
+                    bar = c if alpha == a else a
+                    lhs = x.count(bar) * (len(y) + y.count(b) + 3)
+                    rhs = y.count(bar) * (len(x) + x.count(b) + 3)
                 result = canonicalize(cw.alphabet, x + tail + y + head)
                 apps.append(RuleApplication(rule, r, i, len(y), alpha, lhs, rhs, result))
     return apps

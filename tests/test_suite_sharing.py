@@ -276,10 +276,10 @@ def test_shared_ladder_sums_match_m_equivalent(monkeypatch, rule, condition_hold
     # With every side condition made to hold, a case holds iff its pair is
     # M-equivalent, so the verdicts are the equivalences: both values.
     if condition_holds:
-        monkeypatch.setattr(enumeration, "_rules", lambda a: always_holds(_rules(a)))
+        monkeypatch.setattr(enumeration, "_rules", lambda symbols: always_holds(_rules(symbols)))
     oracle = []
     for x, y in enumeration._split_pairs(ABC.symbols, 4):
-        for _, head, tail, roles, sides in enumeration._rules(ABC).factors[rule]:
+        for _, head, tail, roles, sides in enumeration._rules(ABC.symbols).factors[rule]:
             lhs, rhs = sides(_counts(x, roles), _counts(y, roles))
             w, w2 = x + head + y + tail, x + tail + y + head
             equivalent = m_equivalent(canonicalize(ABC, w), canonicalize(ABC, w2))
